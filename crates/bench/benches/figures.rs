@@ -7,7 +7,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use engines::PersistenceEngine as _;
 use hoop::engine::HoopEngine;
 use hoop::recovery::model_recovery_ms;
-use hoop_bench::experiments::{run_cell, spec_for, Scale, MATRIX, TPCC};
+use hoop_bench::experiments::{spec_for, Scale, MATRIX, TPCC};
+use hoop_bench::runner::{run_cell, RunnerOptions};
 use simcore::config::SimConfig;
 use simcore::{CoreId, PAddr};
 use workloads::driver::{build_system, Driver};
@@ -15,11 +16,12 @@ use workloads::driver::{build_system, Driver};
 /// Fig. 7/8/9 path: one engine × workload cell at quick scale.
 fn fig7_cells(c: &mut Criterion) {
     let sim = SimConfig::default();
+    let opts = RunnerOptions::live(Scale::Quick, 1);
     let mut group = c.benchmark_group("fig7_cell");
     group.sample_size(10);
     for engine in ["HOOP", "Opt-Redo", "LAD"] {
         group.bench_function(engine, |b| {
-            b.iter(|| black_box(run_cell(engine, MATRIX[2], &sim, Scale::Quick)))
+            b.iter(|| black_box(run_cell(engine, MATRIX[2], &sim, &opts)))
         });
     }
     group.finish();
@@ -86,21 +88,22 @@ fn fig11_recovery(c: &mut Criterion) {
 
 /// Fig. 12/13 paths: latency / mapping-table sweeps at quick scale.
 fn fig12_fig13_sweeps(c: &mut Criterion) {
+    let opts = RunnerOptions::live(Scale::Quick, 1);
     let mut group = c.benchmark_group("sweeps");
     group.sample_size(10);
     group.bench_function("fig12_read_latency_point", |b| {
         let mut cfg = SimConfig::default();
         cfg.nvm.read_ns = 150.0;
-        b.iter(|| black_box(run_cell("HOOP", MATRIX[10], &cfg, Scale::Quick)))
+        b.iter(|| black_box(run_cell("HOOP", MATRIX[10], &cfg, &opts)))
     });
     group.bench_function("fig13_small_mapping_point", |b| {
         let mut cfg = SimConfig::default();
         cfg.hoop.mapping_table_bytes = 128 * 1024;
-        b.iter(|| black_box(run_cell("HOOP", MATRIX[10], &cfg, Scale::Quick)))
+        b.iter(|| black_box(run_cell("HOOP", MATRIX[10], &cfg, &opts)))
     });
     group.bench_function("tpcc_cell", |b| {
         let cfg = SimConfig::default();
-        b.iter(|| black_box(run_cell("HOOP", TPCC, &cfg, Scale::Quick)))
+        b.iter(|| black_box(run_cell("HOOP", TPCC, &cfg, &opts)))
     });
     group.finish();
 }

@@ -11,6 +11,7 @@ use engines::trace::TraceEvent;
 use hoop::condensed::CondensedMappingTable;
 use hoop::mapping::MappingTable;
 use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX, TPCC};
+use hoop_bench::runner::RunnerOptions;
 use simcore::addr::Line;
 use simcore::config::SimConfig;
 use simcore::CoreId;
@@ -18,7 +19,7 @@ use workloads::driver::{build_system, build_workload};
 
 fn main() {
     let sim = SimConfig::default();
-    let scale = Scale::from_args();
+    let scale = RunnerOptions::from_args(&[]).0.scale;
     let configs = [
         MATRIX[0], MATRIX[2], MATRIX[4], MATRIX[6], MATRIX[8], MATRIX[10], TPCC,
     ];
@@ -51,7 +52,7 @@ fn main() {
         let mut cond = CondensedMappingTable::new();
         let mut word_count = 0u64;
         let mut inserts = 0u64;
-        for ev in &trace.events {
+        for ev in &trace {
             if let TraceEvent::Store { addr, data, .. } = ev {
                 for k in 0..(data.len() as u64 / 8).max(1) {
                     let line = Line((addr + k * 8) / 64);

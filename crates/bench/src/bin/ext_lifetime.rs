@@ -9,13 +9,14 @@
 //! would be needed to flatten each engine's skew.
 
 use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX};
+use hoop_bench::runner::RunnerOptions;
 use nvm::wearlevel::GAP_MOVE_RATE;
 use simcore::config::SimConfig;
 use workloads::driver::{build_system, Driver, ENGINES};
 
 fn main() {
     let sim = SimConfig::default();
-    let scale = Scale::from_args();
+    let scale = RunnerOptions::from_args(&[]).0.scale;
     let wcfg = MATRIX[2]; // hashmap-64B: the paper's canonical fine-grained updater
     let spec = spec_for(wcfg, scale);
     let txs = match scale {

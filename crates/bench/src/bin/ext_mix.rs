@@ -6,12 +6,13 @@
 //! shape-reproduction cares about.
 
 use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX};
+use hoop_bench::runner::RunnerOptions;
 use simcore::config::SimConfig;
 use workloads::driver::{build_system, Driver, ENGINES};
 
 fn main() {
     let sim = SimConfig::default();
-    let scale = Scale::from_args();
+    let scale = RunnerOptions::from_args(&[]).0.scale;
     let fractions: &[f64] = match scale {
         Scale::Quick => &[0.2, 0.8],
         Scale::Full => &[0.0, 0.2, 0.5, 0.8, 0.95],

@@ -5,12 +5,13 @@
 //! extra controllers spread slice traffic. The paper sketches the protocol
 //! but does not evaluate it — this harness fills that gap.
 
-use hoop_bench::experiments::{run_cell, write_csv, Scale, MATRIX, TPCC};
+use hoop_bench::experiments::{write_csv, MATRIX, TPCC};
+use hoop_bench::runner::{run_cell, RunnerOptions};
 use simcore::config::SimConfig;
 
 fn main() {
     let sim = SimConfig::default();
-    let scale = Scale::from_args();
+    let (opts, _) = RunnerOptions::from_args(&[]);
     let engines = ["HOOP", "HOOP-MC2", "HOOP-MC4"];
     let configs = [MATRIX[0], MATRIX[2], MATRIX[10], TPCC];
 
@@ -25,7 +26,7 @@ fn main() {
         print!("{:<12}", wcfg.label);
         let mut row = wcfg.label.to_string();
         for engine in engines {
-            let r = run_cell(engine, wcfg, &sim, scale);
+            let r = run_cell(engine, wcfg, &sim, &opts).report;
             assert_eq!(r.verify_errors, 0, "{engine}/{} corrupted", wcfg.label);
             print!("{:>14.1}{:>12.0}", r.throughput_tx_per_ms, r.avg_tx_latency);
             row += &format!(",{:.3},{:.1}", r.throughput_tx_per_ms, r.avg_tx_latency);

@@ -10,7 +10,8 @@
 //! production at the simulated scale — the same proportionality the paper's
 //! reserve (10 % of NVM) has to its workload footprint; see EXPERIMENTS.md.
 
-use hoop_bench::experiments::{run_cell, spec_for, write_csv, Scale, MATRIX};
+use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX};
+use hoop_bench::runner::{min_cycles_for, run_cell, RunnerOptions};
 use simcore::config::SimConfig;
 use workloads::driver::{build_system, Driver};
 
@@ -25,10 +26,7 @@ fn probe_oop_rate(wcfg: hoop_bench::WorkloadConfig, sim: &SimConfig, scale: Scal
     let mut driver = Driver::new(spec, &cfg);
     driver.setup(&mut sys);
     // Probe over the same steady-state window the measured cells use.
-    let min_cycles = match scale {
-        Scale::Quick => 0,
-        Scale::Full => 3 * cfg.hoop.gc_period_cycles(),
-    };
+    let min_cycles = min_cycles_for(scale, &cfg);
     let report = driver.run_until(&mut sys, scale.warmup(), scale.measured(), min_cycles);
     let log_bytes = sys
         .engine()
@@ -40,7 +38,8 @@ fn probe_oop_rate(wcfg: hoop_bench::WorkloadConfig, sim: &SimConfig, scale: Scal
 
 fn main() {
     let sim = SimConfig::default();
-    let scale = Scale::from_args();
+    let (opts, _) = RunnerOptions::from_args(&[]);
+    let scale = opts.scale;
     let configs = [MATRIX[0], MATRIX[2], MATRIX[4], MATRIX[6], MATRIX[8]];
     let periods: &[f64] = match scale {
         Scale::Quick => &[2.0, 6.0, 10.0, 14.0],
@@ -76,7 +75,7 @@ fn main() {
             cfg.hoop.oop_region_bytes = reserve.div_ceil(block).max(8) * block;
             // The mapping table must not be the trigger in this sweep.
             cfg.hoop.mapping_table_bytes = 8 * 1024 * 1024;
-            let r = run_cell("HOOP", wcfg, &cfg, scale);
+            let r = run_cell("HOOP", wcfg, &cfg, &opts).report;
             print!("{:>13.1}", r.throughput_tx_per_ms);
             row += &format!(",{:.3}", r.throughput_tx_per_ms);
         }

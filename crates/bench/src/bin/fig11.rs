@@ -15,6 +15,7 @@ use engines::PersistenceEngine as _;
 use hoop::engine::HoopEngine;
 use hoop::recovery::model_recovery_ms;
 use hoop_bench::experiments::{write_csv, Scale};
+use hoop_bench::runner::RunnerOptions;
 use simcore::config::SimConfig;
 use simcore::{CoreId, PAddr};
 
@@ -51,7 +52,7 @@ fn populate(engine: &mut HoopEngine, target_bytes: u64) -> u64 {
 }
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = RunnerOptions::from_args(&[]).0.scale;
     let threads_list = [1usize, 2, 4, 8, 16];
     let bw_list = [10.0, 15.0, 20.0, 25.0, 30.0];
 

@@ -4,11 +4,13 @@
 //! Paper shape (§IV-H): throughput falls monotonically with either latency,
 //! since loads/stores and GC all slow down.
 
-use hoop_bench::experiments::{run_cell, write_csv, Scale, MATRIX};
+use hoop_bench::experiments::{write_csv, Scale, MATRIX};
+use hoop_bench::runner::{run_cell, RunnerOptions};
 use simcore::config::SimConfig;
 
 fn main() {
-    let scale = Scale::from_args();
+    let (opts, _) = RunnerOptions::from_args(&[]);
+    let scale = opts.scale;
     let ycsb = MATRIX[11]; // ycsb-1KB, as in §IV-H
     let lats: &[f64] = match scale {
         Scale::Quick => &[50.0, 150.0, 250.0],
@@ -20,7 +22,7 @@ fn main() {
     for &ns in lats {
         let mut cfg = SimConfig::default();
         cfg.nvm.read_ns = ns;
-        let r = run_cell("HOOP", ycsb, &cfg, scale);
+        let r = run_cell("HOOP", ycsb, &cfg, &opts).report;
         println!("  read {ns:>5} ns: {:>9.1} tx/ms", r.throughput_tx_per_ms);
         rows.push(format!("{ns},{:.3}", r.throughput_tx_per_ms));
     }
@@ -34,7 +36,7 @@ fn main() {
         // Slower cells also program slower in aggregate: scale the
         // bank-limited write bandwidth with the cell write time.
         cfg.nvm.write_bandwidth_gbps = 6.0 * 150.0 / ns;
-        let r = run_cell("HOOP", ycsb, &cfg, scale);
+        let r = run_cell("HOOP", ycsb, &cfg, &opts).report;
         println!("  write {ns:>5} ns: {:>9.1} tx/ms", r.throughput_tx_per_ms);
         rows.push(format!("{ns},{:.3}", r.throughput_tx_per_ms));
     }

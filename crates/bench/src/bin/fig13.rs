@@ -8,12 +8,14 @@
 //! on the smaller table sizes, mirroring how the paper's full-size run
 //! presses on 512 KB-2 MB tables (see EXPERIMENTS.md).
 
-use hoop_bench::experiments::{run_cell, write_csv, Scale, WorkloadConfig};
+use hoop_bench::experiments::{write_csv, Scale, WorkloadConfig};
+use hoop_bench::runner::{run_cell, RunnerOptions};
 use simcore::config::SimConfig;
 use workloads::WorkloadKind;
 
 fn main() {
-    let scale = Scale::from_args();
+    let (opts, _) = RunnerOptions::from_args(&[]);
+    let scale = opts.scale;
     let ycsb = WorkloadConfig {
         label: "ycsb-1KB",
         kind: WorkloadKind::Ycsb,
@@ -29,7 +31,7 @@ fn main() {
     for &kb in sizes_kb {
         let mut cfg = SimConfig::default();
         cfg.hoop.mapping_table_bytes = kb * 1024;
-        let r = run_cell("HOOP", ycsb, &cfg, scale);
+        let r = run_cell("HOOP", ycsb, &cfg, &opts).report;
         println!(
             "  {kb:>5} KB: {:>9.1} tx/ms  (on-demand GC stalls: {} kcycles)",
             r.throughput_tx_per_ms,

@@ -9,11 +9,15 @@
 //! the commit wait — making the figure quantitative.
 
 use hoop_bench::experiments::write_csv;
+use hoop_bench::runner::RunnerOptions;
 use simcore::config::SimConfig;
 use simcore::CoreId;
 use workloads::driver::{build_system, ENGINES};
 
 fn main() {
+    // No flags of its own; rejects unknown ones (--quick is accepted and
+    // changes nothing).
+    let _ = RunnerOptions::from_args(&[]);
     let cfg = SimConfig::default();
     println!("== Fig 4: one 8-store transaction, cycle timeline per engine ==\n");
     let mut rows = Vec::new();

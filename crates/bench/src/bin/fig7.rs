@@ -18,11 +18,11 @@ use simcore::config::SimConfig;
 use workloads::driver::ENGINES;
 
 fn main() {
-    let opts = RunnerOptions::from_args();
+    let (opts, _) = RunnerOptions::from_args(&[]);
     let mut sim = SimConfig::default();
     opts.apply_to_sim(&mut sim);
-    let plan = ExperimentPlan::matrix("fig7", sim, opts.scale);
-    let cells = plan.run_and_export_opts(&opts);
+    let plan = ExperimentPlan::matrix("fig7", sim);
+    let cells = plan.run_and_export(&opts);
     let reports: Vec<_> = cells.into_iter().map(|c| c.report).collect();
 
     let head = format!("workload,{}", ENGINES.join(","));

@@ -4,40 +4,69 @@
 //! hoopsim run      --engine HOOP --workload ycsb --txs 20000 [--item-bytes 1024] [--sanitize] [--shards N]
 //! hoopsim compare  --workload hashmap [--txs 10000] [--shards N]
 //! hoopsim recover  [--threads 8] [--bandwidth 25]
-//! hoopsim trace    --workload vector --txs 200 --out trace.txt
-//! hoopsim replay   --engine LAD --in trace.txt
+//! hoopsim trace    --workload vector --txs 200 --out vector.trace [--seed N]
+//! hoopsim replay   --engine LAD --in vector.trace [--txs N] [--sanitize] [--shards N]
 //! hoopsim area
 //! hoopsim list
 //! ```
+//!
+//! `trace` records the workload once, on every worker core, into the binary
+//! trace format (`hoop-trace`): its setup section, its spec and per-core
+//! streams deep enough for a `run` of `--txs` transactions. `replay` feeds
+//! that file into any engine with the same warmup/measured window as `run`,
+//! so `replay --engine E` reports exactly what `run --engine E` with the
+//! recorded workload flags reports. `--txs` defaults to what the trace
+//! covers.
+//!
+//! Unknown flags and malformed values exit with code 2.
 
-use engines::trace::Trace;
+use std::path::Path;
+
 use hoop::area::{area_overhead, ReferencePackage};
 use hoop::recovery::model_recovery_ms;
+use hoop_bench::runner::{parse_value, split_flags, usage_error};
 use simcore::config::SimConfig;
 use simcore::det::DetHashMap;
-use simcore::CoreId;
-use workloads::driver::{build_system, build_workload, Driver, ENGINES};
+use trace::{
+    default_txs_per_core, record_workload, replay_cell, RecordOptions, ReplayWindow, TraceHeader,
+    TraceReader,
+};
+use workloads::driver::{build_system, Driver, RunReport, ENGINES};
 use workloads::{WorkloadKind, WorkloadSpec};
 
+/// The flags every command accepts (each command reads the ones it needs).
+const VALUED: [&str; 11] = [
+    "--engine",
+    "--workload",
+    "--txs",
+    "--item-bytes",
+    "--items",
+    "--seed",
+    "--shards",
+    "--threads",
+    "--bandwidth",
+    "--out",
+    "--in",
+];
+
+/// Splits argv into the command and its `--flag` values (keyed without the
+/// dashes); exits with code 2 on an unknown flag or a missing value.
 fn parse_args() -> (String, DetHashMap<String, String>) {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_else(|| "help".into());
-    let mut opts = DetHashMap::default();
-    let mut key: Option<String> = None;
-    for a in args {
-        if let Some(k) = a.strip_prefix("--") {
-            if let Some(prev) = key.take() {
-                opts.insert(prev, "true".into());
-            }
-            key = Some(k.to_string());
-        } else if let Some(k) = key.take() {
-            opts.insert(k, a);
-        }
-    }
-    if let Some(prev) = key.take() {
-        opts.insert(prev, "true".into());
-    }
+    let rest: Vec<String> = args.collect();
+    let flags = split_flags(&rest, &["--sanitize"], &VALUED).unwrap_or_else(|e| usage_error(&e));
+    let opts = flags
+        .into_iter()
+        .map(|(flag, value)| (flag.trim_start_matches('-').to_string(), value))
+        .collect();
     (cmd, opts)
+}
+
+/// The value of `--key` parsed as `T`; exits with code 2 if malformed.
+fn opt<T: std::str::FromStr>(opts: &DetHashMap<String, String>, key: &str) -> Option<T> {
+    opts.get(key)
+        .map(|v| parse_value(&format!("--{key}"), v).unwrap_or_else(|e| usage_error(&e)))
 }
 
 fn kind_of(name: &str) -> WorkloadKind {
@@ -49,10 +78,7 @@ fn kind_of(name: &str) -> WorkloadKind {
         "btree" => WorkloadKind::BTree,
         "ycsb" => WorkloadKind::Ycsb,
         "tpcc" => WorkloadKind::Tpcc,
-        other => {
-            eprintln!("unknown workload '{other}' (see `hoopsim list`)");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown workload '{other}' (see `hoopsim list`)")),
     }
 }
 
@@ -63,16 +89,12 @@ fn spec_from(opts: &DetHashMap<String, String>) -> WorkloadSpec {
             .unwrap_or("hashmap"),
     );
     let mut spec = WorkloadSpec::small(kind);
-    if let Some(v) = opts.get("item-bytes") {
-        spec.item_bytes = v.parse().expect("--item-bytes takes a number");
+    if let Some(v) = opt(opts, "item-bytes") {
+        spec.item_bytes = v;
     }
-    if let Some(v) = opts.get("items") {
-        spec.items = v.parse().expect("--items takes a number");
-    } else {
-        spec.items = 4096;
-    }
-    if let Some(v) = opts.get("seed") {
-        spec.seed = v.parse().expect("--seed takes a number");
+    spec.items = opt(opts, "items").unwrap_or(4096);
+    if let Some(v) = opt(opts, "seed") {
+        spec.seed = v;
     }
     spec
 }
@@ -81,41 +103,45 @@ fn spec_from(opts: &DetHashMap<String, String>) -> WorkloadSpec {
 /// the `--shards N` host knob applied (byte-identical output for any N).
 fn cfg_from(opts: &DetHashMap<String, String>) -> SimConfig {
     let mut cfg = SimConfig::default();
-    if let Some(v) = opts.get("shards") {
-        cfg.shards = v.parse().expect("--shards takes a positive integer");
-        assert!(cfg.shards > 0, "--shards takes a positive integer");
+    if let Some(n) = opt(opts, "shards") {
+        if n == 0 {
+            usage_error("--shards needs a positive integer, got '0'");
+        }
+        cfg.shards = n;
     }
     cfg
 }
 
-fn u64_opt(opts: &DetHashMap<String, String>, key: &str, default: u64) -> u64 {
-    opts.get(key)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("--{key} takes a number"))
-        })
-        .unwrap_or(default)
+/// The `run` window for `txs` transactions: `txs / 10` warmup, then `txs`
+/// measured.
+fn window(txs: u64) -> ReplayWindow {
+    ReplayWindow {
+        warmup: txs / 10,
+        measured: txs,
+        min_cycles: 0,
+    }
+}
+
+/// Per-core stream depth that covers the `run` window of `txs`
+/// transactions on `workers` cores (with the default 2× scheduling margin).
+fn depth_for(txs: u64, workers: u8) -> u32 {
+    let w = window(txs);
+    default_txs_per_core(w.warmup + w.measured, u64::from(workers))
+}
+
+/// The largest `--txs` a recorded trace covers: the inverse of
+/// [`depth_for`], rounding down.
+fn txs_covered(h: &TraceHeader) -> u64 {
+    u64::from(h.txs_per_core / 2) * u64::from(h.workers) * 10 / 11
 }
 
 fn run_one(
     engine: &str,
     spec: WorkloadSpec,
     txs: u64,
-    cfg: &SimConfig,
-) -> workloads::driver::RunReport {
-    run_one_sanitized(engine, spec, txs, false, cfg).0
-}
-
-fn run_one_sanitized(
-    engine: &str,
-    spec: WorkloadSpec,
-    txs: u64,
     sanitize: bool,
     cfg: &SimConfig,
-) -> (
-    workloads::driver::RunReport,
-    Option<pmcheck::SanitizerSummary>,
-) {
+) -> (RunReport, Option<pmcheck::SanitizerSummary>) {
     let mut sys = build_system(engine, cfg);
     let san = sanitize.then(|| {
         let (san, handle) = pmcheck::PersistencySanitizer::shared();
@@ -124,9 +150,32 @@ fn run_one_sanitized(
     });
     let mut driver = Driver::new(spec, cfg);
     driver.setup(&mut sys);
-    let report = driver.run(&mut sys, txs / 10, txs);
+    let w = window(txs);
+    let report = driver.run(&mut sys, w.warmup, w.measured);
     let summary = san.map(|s| s.lock().expect("sanitizer poisoned").summary());
     (report, summary)
+}
+
+/// Prints a run's summary and, when sanitized, its audit; exits with code
+/// 1 on a persistency violation.
+fn print_report(r: &RunReport, summary: Option<pmcheck::SanitizerSummary>) {
+    println!("{}", r.summary());
+    println!(
+        "  miss_ratio={:.3}  loads/miss={:.2}  gc_reduction={:.3}  verify_errors={}",
+        r.llc_miss_ratio, r.loads_per_miss, r.gc_reduction, r.verify_errors
+    );
+    if let Some(s) = summary {
+        println!(
+            "  sanitizer: {} events, {} lines, {} violation(s), {} redundant flush(es)",
+            s.events, s.lines_tracked, s.violations, s.redundant_flushes
+        );
+        for sample in &s.samples {
+            println!("    {sample}");
+        }
+        if !s.is_clean() {
+            std::process::exit(1);
+        }
+    }
 }
 
 fn main() {
@@ -135,42 +184,23 @@ fn main() {
         "run" => {
             let engine = opts.get("engine").map(String::as_str).unwrap_or("HOOP");
             let spec = spec_from(&opts);
-            let txs = u64_opt(&opts, "txs", 10_000);
+            let txs = opt(&opts, "txs").unwrap_or(10_000);
             let sanitize = opts.contains_key("sanitize");
             let cfg = cfg_from(&opts);
-            let (r, summary) = run_one_sanitized(engine, spec, txs, sanitize, &cfg);
-            println!("{}", r.summary());
-            println!(
-                "  miss_ratio={:.3}  loads/miss={:.2}  gc_reduction={:.3}  verify_errors={}",
-                r.llc_miss_ratio, r.loads_per_miss, r.gc_reduction, r.verify_errors
-            );
-            if let Some(s) = summary {
-                println!(
-                    "  sanitizer: {} events, {} lines, {} violation(s), {} redundant flush(es)",
-                    s.events, s.lines_tracked, s.violations, s.redundant_flushes
-                );
-                for sample in &s.samples {
-                    println!("    {sample}");
-                }
-                if !s.is_clean() {
-                    std::process::exit(1);
-                }
-            }
+            let (r, summary) = run_one(engine, spec, txs, sanitize, &cfg);
+            print_report(&r, summary);
         }
         "compare" => {
             let spec = spec_from(&opts);
-            let txs = u64_opt(&opts, "txs", 10_000);
+            let txs = opt(&opts, "txs").unwrap_or(10_000);
             let cfg = cfg_from(&opts);
             for engine in ENGINES {
-                println!("{}", run_one(engine, spec, txs, &cfg).summary());
+                println!("{}", run_one(engine, spec, txs, false, &cfg).0.summary());
             }
         }
         "recover" => {
-            let threads = u64_opt(&opts, "threads", 8) as usize;
-            let bw = opts
-                .get("bandwidth")
-                .map(|v| v.parse().expect("--bandwidth takes GB/s"))
-                .unwrap_or(25.0);
+            let threads: usize = opt(&opts, "threads").unwrap_or(8);
+            let bw: f64 = opt(&opts, "bandwidth").unwrap_or(25.0);
             println!(
                 "modeled recovery of 1 GB OOP region: {:.1} ms ({threads} threads, {bw} GB/s)",
                 model_recovery_ms(1 << 30, 64 << 20, threads, bw)
@@ -178,51 +208,45 @@ fn main() {
         }
         "trace" => {
             let spec = spec_from(&opts);
-            let txs = u64_opt(&opts, "txs", 200);
+            let txs = opt(&opts, "txs").unwrap_or(200);
             let out = opts
                 .get("out")
                 .cloned()
-                .unwrap_or_else(|| "trace.txt".into());
+                .unwrap_or_else(|| "hoopsim.trace".into());
             let cfg = SimConfig::default();
-            let mut sys = build_system("Ideal", &cfg);
-            let mut w = build_workload(spec, 0);
-            w.setup(&mut sys, CoreId(0));
-            sys.start_recording();
-            for _ in 0..txs {
-                w.run_tx(&mut sys, CoreId(0));
-            }
-            let trace = sys.take_trace();
-            std::fs::write(&out, trace.to_text()).expect("write trace file");
-            println!("recorded {} events over {txs} txs -> {out}", trace.len());
-            println!("note: replay needs the same --workload setup (deterministic heap)");
+            let record = RecordOptions {
+                txs_per_core: depth_for(txs, cfg.worker_threads),
+                values: false,
+            };
+            let tf = record_workload(&spec.kind.to_string(), spec, &cfg, record)
+                .unwrap_or_else(|e| panic!("recording {}: {e}", spec.kind));
+            let events = tf.event_count();
+            tf.write_to(Path::new(&out))
+                .unwrap_or_else(|e| usage_error(&format!("--out: {e}")));
+            println!("recorded {events} events covering {txs} txs -> {out}");
         }
         "replay" => {
             let engine = opts.get("engine").map(String::as_str).unwrap_or("HOOP");
             let input = opts
                 .get("in")
                 .cloned()
-                .unwrap_or_else(|| "trace.txt".into());
-            let text = std::fs::read_to_string(&input).expect("read trace file");
-            let trace = Trace::from_text(&text).expect("parse trace");
-            let spec = spec_from(&opts);
-            let cfg = SimConfig::default();
-            let mut sys = build_system(engine, &cfg);
-            let mut w = build_workload(spec, 0);
-            w.setup(&mut sys, CoreId(0)); // reconstruct the recorded heap
-            let report = trace.replay(&mut sys);
+                .unwrap_or_else(|| "hoopsim.trace".into());
+            let tf = TraceReader::read(Path::new(&input))
+                .unwrap_or_else(|e| usage_error(&format!("--in: {e}")));
+            let covered = txs_covered(&tf.header);
+            let txs = opt(&opts, "txs").unwrap_or(covered);
+            if txs > covered {
+                usage_error(&format!("--txs: {input} covers at most {covered} txs"));
+            }
+            let sanitize = opts.contains_key("sanitize");
+            let cfg = cfg_from(&opts);
+            let (r, summary) = replay_cell(&tf, engine, &cfg, window(txs), sanitize);
             println!(
-                "replayed {} events on {engine}: {} txs, {} stores, {} loads, {} crashes",
-                trace.len(),
-                report.txs,
-                report.stores,
-                report.loads,
-                report.crashes
+                "replayed {} ({} events) on {engine}",
+                tf.header.label,
+                tf.event_count()
             );
-            println!(
-                "  simulated time: {:.3} ms, NVM writes: {} B",
-                simcore::time::cycles_to_ms(sys.global_time()),
-                sys.engine().device().traffic().total_written()
-            );
+            print_report(&r, summary);
         }
         "area" => {
             let rep = area_overhead(&SimConfig::default(), &ReferencePackage::default());

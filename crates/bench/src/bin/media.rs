@@ -26,7 +26,9 @@
 
 use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX};
 use hoop_bench::json::Json;
-use hoop_bench::runner::{EnduranceSummary, RunnerOptions, RESULT_SCHEMA_VERSION};
+use hoop_bench::runner::{
+    parse_value, usage_error, EnduranceSummary, RunnerOptions, RESULT_SCHEMA_VERSION,
+};
 use nvm::media::MediaSummary;
 use simcore::config::{MediaConfig, SimConfig};
 use workloads::driver::{build_system, Driver, ENGINES};
@@ -55,12 +57,11 @@ fn stress_config(seed: u64, scale: Scale) -> MediaConfig {
 }
 
 fn main() {
-    let opts = RunnerOptions::from_args();
-    let seed = std::env::args()
-        .collect::<Vec<_>>()
-        .windows(2)
-        .find(|w| w[0] == "--seed")
-        .map_or(0, |w| w[1].parse().expect("--seed takes a number"));
+    let (opts, extra) = RunnerOptions::from_args(&["--seed"]);
+    let seed = extra
+        .last()
+        .map_or(Ok(0), |(flag, v)| parse_value(flag, v))
+        .unwrap_or_else(|e| usage_error(&e));
     let scale = opts.scale;
     let mut sim = SimConfig::default();
     opts.apply_to_sim(&mut sim);

@@ -2,10 +2,14 @@
 //! generated from each engine's declared properties.
 
 use hoop_bench::experiments::write_csv;
+use hoop_bench::runner::RunnerOptions;
 use simcore::config::SimConfig;
 use workloads::driver::build_system;
 
 fn main() {
+    // No flags of its own; rejects unknown ones (--quick is accepted and
+    // changes nothing).
+    let _ = RunnerOptions::from_args(&[]);
     let cfg = SimConfig::small_for_tests();
     println!(
         "{:<10}{:>14}{:>18}{:>22}{:>15}",

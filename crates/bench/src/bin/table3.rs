@@ -2,9 +2,13 @@
 //! workload specs.
 
 use hoop_bench::experiments::write_csv;
+use hoop_bench::runner::RunnerOptions;
 use workloads::{WorkloadKind, WorkloadSpec};
 
 fn main() {
+    // No flags of its own; rejects unknown ones (--quick is accepted and
+    // changes nothing).
+    let _ = RunnerOptions::from_args(&[]);
     println!(
         "{:<10}{:<42}{:>11}{:>13}",
         "Workload", "Description", "Stores/TX", "Write/Read"

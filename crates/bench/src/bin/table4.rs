@@ -12,12 +12,12 @@ use std::path::Path;
 
 use hoop_bench::experiments::{write_csv, Scale, WorkloadConfig};
 use hoop_bench::json::Json;
-use hoop_bench::runner::{run_parallel, trace_path, RunMode, RunnerOptions, RESULT_SCHEMA_VERSION};
+use hoop_bench::runner::{read_trace, run_parallel, RunMode, RunnerOptions, RESULT_SCHEMA_VERSION};
 use hoop_bench::tracepack::{
     record_table4_traces, table4_counts, table4_label, table4_spec, TABLE4_CONFIGS,
 };
 use simcore::config::SimConfig;
-use trace::{replay_cell, ReplayWindow, TraceReader};
+use trace::{replay_cell, ReplayWindow};
 use workloads::driver::{build_system, Driver};
 
 fn reduction_for(wcfg: WorkloadConfig, txs: u64, sim: &SimConfig, scale: Scale) -> f64 {
@@ -39,22 +39,7 @@ fn reduction_replayed(
     scale: Scale,
     dir: &Path,
 ) -> f64 {
-    let label = table4_label(wcfg);
-    let path = trace_path(dir, &label);
-    let tf = TraceReader::read(&path).unwrap_or_else(|e| {
-        panic!(
-            "{e}\n(replaying {}; regenerate the pack with `cargo run -p xtask -- trace`)",
-            path.display()
-        )
-    });
-    let spec = table4_spec(wcfg, scale);
-    assert_eq!(
-        tf.header.spec,
-        spec,
-        "{} is stale: recorded workload identity differs; regenerate with \
-         `cargo run -p xtask -- trace`",
-        path.display()
-    );
+    let tf = read_trace(dir, &table4_label(wcfg), &table4_spec(wcfg, scale));
     let window = ReplayWindow {
         warmup: 0,
         measured: txs,
@@ -65,7 +50,7 @@ fn reduction_replayed(
 
 fn main() {
     let mut sim = SimConfig::default();
-    let opts = RunnerOptions::from_args();
+    let (opts, _) = RunnerOptions::from_args(&[]);
     opts.apply_to_sim(&mut sim);
     let scale = opts.scale;
     let configs = TABLE4_CONFIGS;

@@ -13,13 +13,13 @@
 use std::path::PathBuf;
 
 use hoop_bench::experiments::Scale;
-use hoop_bench::runner::{RunMode, RunnerOptions};
+use hoop_bench::runner::{usage_error, RunMode, RunnerOptions};
 use hoop_bench::tracepack::{record_pack, QUICK_PACK_DIR};
 
 fn main() {
-    let opts = RunnerOptions::from_args();
+    let (opts, extra) = RunnerOptions::from_args(&["--dir"]);
     if !matches!(opts.mode, RunMode::Live) {
-        panic!("trace_pack always records; use --dir, not --record/--replay");
+        usage_error("trace_pack always records; use --dir, not --record/--replay");
     }
     // Unlike the figure binaries, the pack defaults to quick scale: the
     // committed artifact must stay small and regenerate in CI time.
@@ -28,12 +28,9 @@ fn main() {
     } else {
         Scale::Quick
     };
-    let dir = std::env::args()
-        .skip_while(|a| a != "--dir")
-        .nth(1)
-        .map(PathBuf::from)
-        .or_else(|| std::env::args().find_map(|a| a.strip_prefix("--dir=").map(PathBuf::from)))
-        .unwrap_or_else(|| PathBuf::from(QUICK_PACK_DIR));
+    let dir = extra
+        .last()
+        .map_or_else(|| PathBuf::from(QUICK_PACK_DIR), |(_, v)| PathBuf::from(v));
     eprintln!(
         "recording {} pack into {}",
         match scale {

@@ -4,7 +4,6 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use simcore::config::SimConfig;
 use workloads::driver::{RunReport, ENGINES};
 use workloads::{WorkloadKind, WorkloadSpec};
 
@@ -18,15 +17,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--quick` / `--full` style argv.
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Full
-        }
-    }
-
     /// Measured transactions per run.
     pub fn measured(self) -> u64 {
         match self {
@@ -159,28 +149,6 @@ pub fn spec_for(cfg: WorkloadConfig, scale: Scale) -> WorkloadSpec {
     }
 }
 
-/// Runs one (engine, workload) cell and returns its report, using the
-/// workload row's label-derived, engine-blind seed (see
-/// [`derive_workload_seed`](crate::runner::derive_workload_seed)). At
-/// [`Scale::Full`] the measured window is extended until it spans several
-/// background GC/checkpoint periods, so steady-state traffic (not just
-/// end-of-run drains) is captured.
-pub fn run_cell(engine: &str, wcfg: WorkloadConfig, sim: &SimConfig, scale: Scale) -> RunReport {
-    let seed = crate::runner::derive_workload_seed(wcfg.label);
-    crate::runner::run_cell_seeded(engine, wcfg, sim, scale, seed)
-}
-
-/// Runs the full engine × workload matrix serially (Fig. 7/8/9 share these
-/// runs; their binaries use [`ExperimentPlan`](crate::runner::ExperimentPlan)
-/// directly to run the same grid on worker threads).
-pub fn run_matrix(sim: &SimConfig, scale: Scale) -> Vec<RunReport> {
-    crate::runner::ExperimentPlan::matrix("matrix", *sim, scale)
-        .run(1)
-        .into_iter()
-        .map(|c| c.report)
-        .collect()
-}
-
 /// Finds the report of `engine` for `workload` in a matrix result.
 pub fn find<'a>(reports: &'a [RunReport], engine: &str, workload: &str) -> &'a RunReport {
     reports
@@ -271,19 +239,24 @@ pub fn print_normalized(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run_cell, RunnerOptions};
+    use simcore::config::SimConfig;
+
+    fn quick_cell(engine: &'static str) -> RunReport {
+        let opts = RunnerOptions::live(Scale::Quick, 1);
+        run_cell(engine, MATRIX[0], &SimConfig::small_for_tests(), &opts).report
+    }
 
     #[test]
     fn quick_cell_runs_clean() {
-        let sim = SimConfig::small_for_tests();
-        let r = run_cell("HOOP", MATRIX[0], &sim, Scale::Quick);
+        let r = quick_cell("HOOP");
         assert_eq!(r.verify_errors, 0);
         assert!(r.txs > 0);
     }
 
     #[test]
     fn geomean_of_identity_is_one() {
-        let sim = SimConfig::small_for_tests();
-        let a = run_cell("Ideal", MATRIX[0], &sim, Scale::Quick);
+        let a = quick_cell("Ideal");
         let reports = vec![a.clone(), a];
         let g = geomean_ratio(&reports, "Ideal", "Ideal", |r| r.write_bytes_per_tx);
         assert!((g - 1.0).abs() < 1e-9);

@@ -33,9 +33,11 @@ use nvm::wearlevel::{EnduranceMap, GAP_MOVE_RATE};
 use pmcheck::{PersistencySanitizer, SanitizerSummary};
 use simcore::config::SimConfig;
 use trace::{
-    default_txs_per_core, record_workload, replay_cell, RecordOptions, ReplayWindow, TraceReader,
+    default_txs_per_core, record_workload, replay_cell, RecordOptions, ReplayWindow, TraceFile,
+    TraceReader,
 };
 use workloads::driver::{build_system, Driver, RunReport, ENGINES};
+use workloads::WorkloadSpec;
 
 use crate::experiments::{spec_for, Scale, WorkloadConfig, MATRIX, TPCC};
 use crate::json::Json;
@@ -63,7 +65,8 @@ pub enum RunMode {
 /// `--sanitize` attaches the persistency sanitizer to every cell,
 /// `--endurance` tracks per-line wear and exports an `endurance` summary
 /// per cell, `--record DIR` / `--replay DIR` select the trace [`RunMode`],
-/// and `--depth N` overrides the recorded per-core stream depth.
+/// `--depth N` overrides the recorded per-core stream depth and
+/// `--shards N` sets the intra-cell host shards.
 #[derive(Clone, Debug)]
 pub struct RunnerOptions {
     /// Experiment scale.
@@ -88,24 +91,64 @@ pub struct RunnerOptions {
     pub shards: u8,
 }
 
+/// The value-less flags every figure binary accepts.
+const SWITCHES: [&str; 4] = ["--quick", "--full", "--sanitize", "--endurance"];
+/// The flags every figure binary accepts that take a value.
+const VALUED: [&str; 5] = ["--jobs", "--record", "--replay", "--depth", "--shards"];
+
 impl RunnerOptions {
-    /// Parses `--quick` / `--full` / `--jobs N` (or `--jobs=N`) /
-    /// `--sanitize` / `--endurance` / `--record DIR` / `--replay DIR` /
-    /// `--depth N` / `--shards N` from argv. Defaults: full scale, all
-    /// available cores, sanitizer and endurance tracking off, live mode,
-    /// 1 shard.
-    pub fn from_args() -> RunnerOptions {
-        let args: Vec<String> = std::env::args().collect();
-        RunnerOptions {
-            scale: Scale::from_args(),
-            jobs: parse_jobs(&args).unwrap_or_else(default_jobs),
-            sanitize: args.iter().any(|a| a == "--sanitize"),
-            endurance: args.iter().any(|a| a == "--endurance"),
-            mode: parse_mode(&args),
-            depth: parse_value(&args, "--depth")
-                .map(|v| v.parse().expect("--depth needs a positive integer")),
-            shards: parse_shards(&args),
+    /// Parses the process arguments (see [`parse`](RunnerOptions::parse)).
+    /// On an unknown flag or a bad value it prints the error and exits with
+    /// code 2.
+    pub fn from_args(extra: &[&str]) -> (RunnerOptions, Vec<(String, String)>) {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        RunnerOptions::parse(&args, extra).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// Parses `--quick` / `--full` / `--sanitize` / `--endurance` and
+    /// `--jobs N` / `--record DIR` / `--replay DIR` / `--depth N` /
+    /// `--shards N` (each also as `--flag=VALUE`) from `args`, the argv
+    /// without the program name. `extra` names the valued flags only this
+    /// binary accepts; their `(flag, value)` pairs are returned in argv
+    /// order. Defaults: full scale, all available cores, sanitizer and
+    /// endurance tracking off, live mode, 1 shard.
+    ///
+    /// # Errors
+    ///
+    /// Names the flag on an unknown flag, a stray argument, a missing or
+    /// malformed value, or a conflicting combination.
+    pub fn parse(
+        args: &[String],
+        extra: &[&str],
+    ) -> Result<(RunnerOptions, Vec<(String, String)>), String> {
+        let valued: Vec<&str> = VALUED.iter().chain(extra).copied().collect();
+        let mut opts = RunnerOptions::live(Scale::Full, default_jobs());
+        let (mut record, mut replay) = (None, None);
+        let mut extras = Vec::new();
+        for (flag, value) in split_flags(args, &SWITCHES, &valued)? {
+            match flag.as_str() {
+                "--quick" => opts.scale = Scale::Quick,
+                "--full" => {}
+                "--sanitize" => opts.sanitize = true,
+                "--endurance" => opts.endurance = true,
+                "--jobs" => opts.jobs = parse_positive(&flag, &value)?,
+                "--depth" => opts.depth = Some(parse_positive(&flag, &value)?),
+                "--shards" => opts.shards = parse_positive(&flag, &value)?,
+                "--record" => record = Some(PathBuf::from(value)),
+                "--replay" => replay = Some(PathBuf::from(value)),
+                _ => extras.push((flag, value)),
+            }
         }
+        opts.mode = match (record, replay) {
+            (Some(_), Some(_)) => return Err("--record and --replay are mutually exclusive".into()),
+            (Some(dir), None) => RunMode::Record(dir),
+            (None, Some(dir)) => RunMode::Replay(dir),
+            (None, None) => RunMode::Live,
+        };
+        if opts.endurance && opts.mode != RunMode::Live {
+            return Err("--endurance requires a live run (drop --record/--replay)".into());
+        }
+        Ok((opts, extras))
     }
 
     /// Options for a plain live run at `scale` (harness/test entry point).
@@ -128,64 +171,71 @@ impl RunnerOptions {
     }
 }
 
-/// Parses `--shards N` / `--shards=N` (default 1).
-fn parse_shards(args: &[String]) -> u8 {
-    parse_value(args, "--shards").map_or(1, |v| {
-        let n: u8 = v.parse().expect("--shards needs a positive integer");
-        assert!(n > 0, "--shards needs a positive integer");
-        n
-    })
-}
-
-/// Extracts the value of `--flag VALUE` or `--flag=VALUE` from argv.
-fn parse_value(args: &[String], flag: &str) -> Option<String> {
-    let prefix = format!("{flag}=");
+/// Splits `args` into `(flag, value)` pairs: each of `switches` stands
+/// alone (value `""`), each of `valued` takes `--flag VALUE` or
+/// `--flag=VALUE`.
+///
+/// # Errors
+///
+/// Names the first unknown flag, stray argument or missing value.
+pub fn split_flags(
+    args: &[String],
+    switches: &[&str],
+    valued: &[&str],
+) -> Result<Vec<(String, String)>, String> {
+    let mut out = Vec::new();
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return Some(
-                it.next()
-                    .unwrap_or_else(|| panic!("{flag} needs a value"))
-                    .clone(),
-            );
-        }
-        if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
+    while let Some(arg) = it.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) if f.starts_with("--") => (f, Some(v)),
+            _ => (arg.as_str(), None),
+        };
+        if switches.contains(&flag) {
+            if inline.is_some() {
+                return Err(format!("{flag} takes no value"));
+            }
+            out.push((flag.to_string(), String::new()));
+        } else if valued.contains(&flag) {
+            let value = match inline {
+                Some(v) => v,
+                None => it
+                    .next()
+                    .map(String::as_str)
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{flag} needs a value"))?,
+            };
+            out.push((flag.to_string(), value.to_string()));
+        } else if flag.starts_with("--") {
+            return Err(format!("unknown flag {flag}"));
+        } else {
+            return Err(format!("unexpected argument '{arg}'"));
         }
     }
-    None
+    Ok(out)
 }
 
-fn parse_mode(args: &[String]) -> RunMode {
-    let record = parse_value(args, "--record");
-    let replay = parse_value(args, "--replay");
-    match (record, replay) {
-        (Some(_), Some(_)) => panic!("--record and --replay are mutually exclusive"),
-        (Some(dir), None) => RunMode::Record(PathBuf::from(dir)),
-        (None, Some(dir)) => RunMode::Replay(PathBuf::from(dir)),
-        (None, None) => RunMode::Live,
-    }
+/// Parses `flag`'s value, naming the flag if it is malformed.
+pub fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse '{value}'"))
 }
 
-fn parse_jobs(args: &[String]) -> Option<usize> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            let n = it.next().and_then(|v| v.parse().ok());
-            return Some(
-                n.filter(|&n| n > 0)
-                    .unwrap_or_else(|| panic!("--jobs needs a positive integer")),
-            );
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            let n: Option<usize> = v.parse().ok();
-            return Some(
-                n.filter(|&n| n > 0)
-                    .unwrap_or_else(|| panic!("--jobs needs a positive integer")),
-            );
-        }
-    }
-    None
+/// Parses `flag`'s value as a positive integer.
+fn parse_positive<T: std::str::FromStr + Default + PartialOrd>(
+    flag: &str,
+    value: &str,
+) -> Result<T, String> {
+    parse_value(flag, value)
+        .ok()
+        .filter(|n| *n > T::default())
+        .ok_or_else(|| format!("{flag} needs a positive integer, got '{value}'"))
+}
+
+/// Prints a command-line error and exits with code 2.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 fn default_jobs() -> usize {
@@ -404,7 +454,7 @@ pub fn sanitizer_json(s: &SanitizerSummary) -> Json {
     ])
 }
 
-/// A named grid of cells to execute at one scale.
+/// A named grid of cells to execute.
 #[derive(Clone, Debug)]
 pub struct ExperimentPlan {
     /// Experiment name (`fig7`, `table4`, ...) — also the JSON file stem.
@@ -413,14 +463,12 @@ pub struct ExperimentPlan {
     pub cells: Vec<Cell>,
     /// Machine configuration shared by all cells.
     pub sim: SimConfig,
-    /// Scale of every cell.
-    pub scale: Scale,
 }
 
 impl ExperimentPlan {
     /// The §IV-A grid shared by Fig. 7/8/9: the full workload matrix
     /// (including TPC-C) × every engine.
-    pub fn matrix(name: &'static str, sim: SimConfig, scale: Scale) -> ExperimentPlan {
+    pub fn matrix(name: &'static str, sim: SimConfig) -> ExperimentPlan {
         let mut cells = Vec::new();
         for wcfg in MATRIX.into_iter().chain([TPCC]) {
             for engine in ENGINES {
@@ -430,74 +478,40 @@ impl ExperimentPlan {
                 });
             }
         }
-        ExperimentPlan {
-            name,
-            cells,
-            sim,
-            scale,
-        }
+        ExperimentPlan::from_cells(name, cells, sim)
     }
 
     /// A plan over an explicit cell list.
-    pub fn from_cells(
-        name: &'static str,
-        cells: Vec<Cell>,
-        sim: SimConfig,
-        scale: Scale,
-    ) -> ExperimentPlan {
-        ExperimentPlan {
-            name,
-            cells,
-            sim,
-            scale,
+    pub fn from_cells(name: &'static str, cells: Vec<Cell>, sim: SimConfig) -> ExperimentPlan {
+        ExperimentPlan { name, cells, sim }
+    }
+
+    /// Executes every cell with [`run_cell`] on `opts.jobs` worker threads
+    /// and returns results in plan order; `--record DIR` first records
+    /// every workload row into `DIR`, then replays it. Panics (after
+    /// joining workers) if any cell failed verification or, when
+    /// sanitized, reports a hard ordering violation — a corrupted cell must
+    /// never silently enter results.
+    pub fn run(&self, opts: &RunnerOptions) -> Vec<CellResult> {
+        let mut cell_opts = opts.clone();
+        if let RunMode::Record(dir) = &opts.mode {
+            self.record_traces(dir, opts);
+            cell_opts.mode = RunMode::Replay(dir.clone());
         }
-    }
-
-    /// Executes every cell on `jobs` worker threads and returns results in
-    /// plan order. Panics (after joining workers) if any cell failed
-    /// verification — a corrupted cell must never silently enter results.
-    pub fn run(&self, jobs: usize) -> Vec<CellResult> {
-        self.run_sanitized(jobs, false)
-    }
-
-    /// Like [`run`](ExperimentPlan::run), optionally attaching the
-    /// persistency sanitizer to every cell. Panics if any sanitized cell
-    /// reports a hard ordering violation (samples are printed first).
-    pub fn run_sanitized(&self, jobs: usize, sanitize: bool) -> Vec<CellResult> {
-        self.run_instrumented(jobs, sanitize, false)
-    }
-
-    /// Like [`run_sanitized`](ExperimentPlan::run_sanitized), optionally
-    /// also tracking per-line wear in every cell (`--endurance`): each
-    /// result then carries an [`EnduranceSummary`].
-    pub fn run_instrumented(
-        &self,
-        jobs: usize,
-        sanitize: bool,
-        endurance: bool,
-    ) -> Vec<CellResult> {
-        let results = run_parallel(&self.cells, jobs, |cell| {
-            let seed = derive_workload_seed(cell.workload.label);
-            let (report, sanitizer, endurance) = run_cell_seeded_instrumented(
-                cell.engine,
-                cell.workload,
-                &self.sim,
-                self.scale,
-                seed,
-                sanitize,
-                endurance,
-            );
-            eprintln!("  {}", report.summary());
-            CellResult {
-                engine: cell.engine,
-                workload: cell.workload.label,
-                seed,
-                report,
-                sanitizer,
-                endurance,
-            }
+        let results = run_parallel(&self.cells, opts.jobs, |cell| {
+            let result = run_cell(cell.engine, cell.workload, &self.sim, &cell_opts);
+            eprintln!("  {}", result.report.summary());
+            result
         });
         check_results(&results);
+        results
+    }
+
+    /// [`run`](ExperimentPlan::run)s the plan and writes
+    /// `results/<name>.json`; returns the results.
+    pub fn run_and_export(&self, opts: &RunnerOptions) -> Vec<CellResult> {
+        let results = self.run(opts);
+        write_json(self.name, opts.scale, &results);
         results
     }
 
@@ -512,92 +526,78 @@ impl ExperimentPlan {
         seen
     }
 
-    /// Records every workload row of the plan into `dir/<label>.trace`
-    /// (engine-blind: one trace per row serves all engines). `depth`
-    /// overrides the per-core stream depth; `None` uses [`plan_depth`].
-    pub fn record_traces(&self, dir: &Path, jobs: usize, depth: Option<u32>) {
-        let workloads = self.workloads();
-        let depth = depth.unwrap_or_else(|| plan_depth(self.scale, &self.sim));
-        run_parallel(&workloads, jobs, |wcfg| {
-            let mut spec = spec_for(*wcfg, self.scale);
-            spec.seed = derive_workload_seed(wcfg.label);
-            let tf = record_workload(
-                wcfg.label,
-                spec,
-                &self.sim,
-                RecordOptions {
-                    txs_per_core: depth,
-                    values: false,
-                },
-            )
-            .unwrap_or_else(|e| panic!("recording {}: {e}", wcfg.label));
-            let path = trace_path(dir, wcfg.label);
-            tf.write_to(&path)
-                .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-            eprintln!(
-                "  recorded {} ({} events)",
-                path.display(),
-                tf.event_count()
-            );
-        });
-    }
-
-    /// Runs every cell by replaying `dir/<label>.trace` instead of
-    /// generating workloads live. Panics with a regeneration hint if a
-    /// trace is missing, unreadable, or stale (its recorded workload
-    /// identity no longer matches the plan's).
-    pub fn run_replayed(&self, jobs: usize, sanitize: bool, dir: &Path) -> Vec<CellResult> {
-        let results = run_parallel(&self.cells, jobs, |cell| {
-            let seed = derive_workload_seed(cell.workload.label);
-            let (report, sanitizer) = run_cell_replayed(
-                cell.engine,
-                cell.workload,
-                &self.sim,
-                self.scale,
-                seed,
-                sanitize,
+    /// Records every workload row of the plan at `opts.scale` into
+    /// `dir/<label>.trace` (engine-blind: one trace per row serves all
+    /// engines) on `opts.jobs` threads. `opts.depth` overrides the per-core
+    /// stream depth; `None` uses [`plan_depth`].
+    pub fn record_traces(&self, dir: &Path, opts: &RunnerOptions) {
+        let depth = opts
+            .depth
+            .unwrap_or_else(|| plan_depth(opts.scale, &self.sim));
+        run_parallel(&self.workloads(), opts.jobs, |wcfg| {
+            record_trace(
                 dir,
+                wcfg.label,
+                row_spec(*wcfg, opts.scale),
+                &self.sim,
+                depth,
             );
-            eprintln!("  {}", report.summary());
-            CellResult {
-                engine: cell.engine,
-                workload: cell.workload.label,
-                seed,
-                report,
-                sanitizer,
-                endurance: None,
-            }
         });
-        check_results(&results);
-        results
     }
+}
 
-    /// Runs the plan and writes `results/<name>.json`; returns the results.
-    pub fn run_and_export(&self, jobs: usize) -> Vec<CellResult> {
-        let results = self.run(jobs);
-        write_json(self.name, self.scale, &results);
-        results
+/// The spec of a grid row: [`spec_for`] with the row's label-derived seed.
+fn row_spec(wcfg: WorkloadConfig, scale: Scale) -> WorkloadSpec {
+    WorkloadSpec {
+        seed: derive_workload_seed(wcfg.label),
+        ..spec_for(wcfg, scale)
     }
+}
 
-    /// [`run_and_export`](ExperimentPlan::run_and_export) honoring the full
-    /// option set (`--jobs`, `--sanitize`, `--record`/`--replay`,
-    /// `--depth`).
-    pub fn run_and_export_opts(&self, opts: &RunnerOptions) -> Vec<CellResult> {
-        assert!(
-            !opts.endurance || opts.mode == RunMode::Live,
-            "--endurance requires a live run (drop --record/--replay)"
-        );
-        let results = match &opts.mode {
-            RunMode::Live => self.run_instrumented(opts.jobs, opts.sanitize, opts.endurance),
-            RunMode::Record(dir) => {
-                self.record_traces(dir, opts.jobs, opts.depth);
-                self.run_replayed(opts.jobs, opts.sanitize, dir)
-            }
-            RunMode::Replay(dir) => self.run_replayed(opts.jobs, opts.sanitize, dir),
-        };
-        write_json(self.name, self.scale, &results);
-        results
-    }
+/// Records `spec` into `dir/<label>.trace` with `depth` transactions per
+/// core (store payloads elided).
+pub fn record_trace(dir: &Path, label: &str, spec: WorkloadSpec, sim: &SimConfig, depth: u32) {
+    let options = RecordOptions {
+        txs_per_core: depth,
+        values: false,
+    };
+    let tf = record_workload(label, spec, sim, options)
+        .unwrap_or_else(|e| panic!("recording {label}: {e}"));
+    let path = trace_path(dir, label);
+    tf.write_to(&path)
+        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    eprintln!(
+        "  recorded {} ({} events)",
+        path.display(),
+        tf.event_count()
+    );
+}
+
+/// Reads `dir/<label>.trace` and checks its recorded workload identity
+/// against `spec`.
+///
+/// # Panics
+///
+/// Panics with a regeneration hint if the trace is missing, unreadable or
+/// stale.
+pub fn read_trace(dir: &Path, label: &str, spec: &WorkloadSpec) -> TraceFile {
+    let path = trace_path(dir, label);
+    let tf = TraceReader::read(&path).unwrap_or_else(|e| {
+        panic!(
+            "{e}\n(replaying {}; regenerate the pack with `cargo run -p xtask -- trace`)",
+            path.display()
+        )
+    });
+    assert_eq!(
+        &tf.header.spec,
+        spec,
+        "{} is stale: recorded workload identity {:?} != expected {:?}; \
+         regenerate with `cargo run -p xtask -- trace`",
+        path.display(),
+        tf.header.spec,
+        spec
+    );
+    tf
 }
 
 /// Shared post-run validation: a corrupted or persistency-violating cell
@@ -654,114 +654,87 @@ pub fn plan_depth(scale: Scale, sim: &SimConfig) -> u32 {
     }
 }
 
-/// Replays one (engine, workload) cell from `dir/<label>.trace`, verifying
-/// the trace's recorded identity against the cell's spec.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_replayed(
-    engine: &str,
+/// Runs one (engine, workload) cell at `opts.scale` with the row's
+/// label-derived, engine-blind seed (see [`derive_workload_seed`]).
+///
+/// - Live mode generates the workload. At [`Scale::Full`] the measured
+///   window extends until it spans several background GC/checkpoint
+///   periods ([`min_cycles_for`]), so steady-state traffic (not just
+///   end-of-run drains) is captured.
+/// - `--replay DIR` replays `DIR/<label>.trace` instead, after checking its
+///   recorded identity against the cell's spec; `--record DIR` records the
+///   row into `DIR` first. Replay is byte-identical to a live run.
+/// - `--sanitize` audits the whole cell (setup, warmup and measurement)
+///   with an attached [`PersistencySanitizer`]; `--endurance` tracks
+///   per-line wear on the device (live only). Both are observers: the
+///   report is unchanged.
+///
+/// # Panics
+///
+/// Panics if `opts.endurance` is set outside live mode, or with a
+/// regeneration hint if the trace is missing, unreadable or stale.
+pub fn run_cell(
+    engine: &'static str,
     wcfg: WorkloadConfig,
     sim: &SimConfig,
-    scale: Scale,
-    seed: u64,
-    sanitize: bool,
-    dir: &Path,
-) -> (RunReport, Option<SanitizerSummary>) {
-    let path = trace_path(dir, wcfg.label);
-    let tf = TraceReader::read(&path).unwrap_or_else(|e| {
-        panic!(
-            "{e}\n(replaying {}; regenerate the pack with `cargo run -p xtask -- trace`)",
-            path.display()
-        )
-    });
-    let mut spec = spec_for(wcfg, scale);
-    spec.seed = seed;
-    assert_eq!(
-        tf.header.spec,
-        spec,
-        "{} is stale: recorded workload identity {:?} != expected {:?}; \
-         regenerate with `cargo run -p xtask -- trace`",
-        path.display(),
-        tf.header.spec,
-        spec
-    );
-    let window = ReplayWindow {
-        warmup: scale.warmup(),
-        measured: scale.measured(),
-        min_cycles: min_cycles_for(scale, sim),
-    };
-    let (mut report, summary) = replay_cell(&tf, engine, sim, window, sanitize);
-    report.workload = wcfg.label.to_string();
-    (report, summary)
-}
-
-/// Runs one (engine, workload) cell with an explicit workload seed.
-pub fn run_cell_seeded(
-    engine: &str,
-    wcfg: WorkloadConfig,
-    sim: &SimConfig,
-    scale: Scale,
-    seed: u64,
-) -> RunReport {
-    run_cell_seeded_sanitized(engine, wcfg, sim, scale, seed, false).0
-}
-
-/// Like [`run_cell_seeded`], optionally auditing the whole cell (setup,
-/// warmup and measurement) with an attached [`PersistencySanitizer`].
-pub fn run_cell_seeded_sanitized(
-    engine: &str,
-    wcfg: WorkloadConfig,
-    sim: &SimConfig,
-    scale: Scale,
-    seed: u64,
-    sanitize: bool,
-) -> (RunReport, Option<SanitizerSummary>) {
-    let (report, summary, _) =
-        run_cell_seeded_instrumented(engine, wcfg, sim, scale, seed, sanitize, false);
-    (report, summary)
-}
-
-/// Like [`run_cell_seeded_sanitized`], optionally also tracking per-line
-/// wear on the cell's device and summarizing it after the run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_seeded_instrumented(
-    engine: &str,
-    wcfg: WorkloadConfig,
-    sim: &SimConfig,
-    scale: Scale,
-    seed: u64,
-    sanitize: bool,
-    endurance: bool,
-) -> (
-    RunReport,
-    Option<SanitizerSummary>,
-    Option<EnduranceSummary>,
-) {
-    let mut spec = spec_for(wcfg, scale);
-    spec.seed = seed;
-    let mut sys = build_system(engine, sim);
-    if endurance {
-        sys.enable_endurance_tracking();
-    }
-    let san = sanitize.then(|| {
-        let (san, handle) = PersistencySanitizer::shared();
-        sys.attach_sanitizer(handle);
-        san
-    });
-    let mut driver = Driver::new(spec, sim);
-    driver.setup(&mut sys);
+    opts: &RunnerOptions,
+) -> CellResult {
+    let scale = opts.scale;
+    let spec = row_spec(wcfg, scale);
     let min_cycles = min_cycles_for(scale, sim);
-    let mut report = driver.run_until(&mut sys, scale.warmup(), scale.measured(), min_cycles);
+    let (mut report, sanitizer, endurance) = match &opts.mode {
+        RunMode::Live => {
+            let mut sys = build_system(engine, sim);
+            if opts.endurance {
+                sys.enable_endurance_tracking();
+            }
+            let san = opts.sanitize.then(|| {
+                let (san, handle) = PersistencySanitizer::shared();
+                sys.attach_sanitizer(handle);
+                san
+            });
+            let mut driver = Driver::new(spec, sim);
+            driver.setup(&mut sys);
+            let report = driver.run_until(&mut sys, scale.warmup(), scale.measured(), min_cycles);
+            let summary = san.map(|s| s.lock().expect("sanitizer poisoned").summary());
+            let wear = opts.endurance.then(|| {
+                EnduranceSummary::from_map(
+                    sys.engine()
+                        .device()
+                        .endurance()
+                        .expect("endurance tracking enabled"),
+                )
+            });
+            (report, summary, wear)
+        }
+        RunMode::Record(dir) | RunMode::Replay(dir) => {
+            assert!(
+                !opts.endurance,
+                "--endurance requires a live run (drop --record/--replay)"
+            );
+            if let RunMode::Record(_) = opts.mode {
+                let depth = opts.depth.unwrap_or_else(|| plan_depth(scale, sim));
+                record_trace(dir, wcfg.label, spec, sim, depth);
+            }
+            let tf = read_trace(dir, wcfg.label, &spec);
+            let window = ReplayWindow {
+                warmup: scale.warmup(),
+                measured: scale.measured(),
+                min_cycles,
+            };
+            let (report, summary) = replay_cell(&tf, engine, sim, window, opts.sanitize);
+            (report, summary, None)
+        }
+    };
     report.workload = wcfg.label.to_string();
-    let summary = san.map(|s| s.lock().expect("sanitizer poisoned").summary());
-    let wear = endurance.then(|| {
-        EnduranceSummary::from_map(
-            sys.engine()
-                .device()
-                .endurance()
-                .expect("endurance tracking enabled"),
-        )
-    });
-    (report, summary, wear)
+    CellResult {
+        engine,
+        workload: wcfg.label,
+        seed: spec.seed,
+        report,
+        sanitizer,
+        endurance,
+    }
 }
 
 /// Maps `f` over `items` on `jobs` worker threads, returning results in
@@ -842,6 +815,26 @@ pub fn write_json(name: &str, scale: Scale, results: &[CellResult]) {
 mod tests {
     use super::*;
 
+    fn argv(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn parse(v: &[&str], extra: &[&str]) -> Result<(RunnerOptions, Vec<(String, String)>), String> {
+        RunnerOptions::parse(&argv(v), extra)
+    }
+
+    fn one_cell_plan(
+        name: &'static str,
+        engine: &'static str,
+        workload: WorkloadConfig,
+    ) -> ExperimentPlan {
+        ExperimentPlan::from_cells(
+            name,
+            vec![Cell { engine, workload }],
+            SimConfig::small_for_tests(),
+        )
+    }
+
     /// The determinism contract: a 2×2 Quick sub-matrix must produce
     /// byte-identical JSON under serial and parallel execution.
     #[test]
@@ -855,10 +848,12 @@ mod tests {
                     .map(move |workload| Cell { engine, workload })
             })
             .collect();
-        let plan = ExperimentPlan::from_cells("determinism", cells, sim, Scale::Quick);
-        let serial = results_json("determinism", Scale::Quick, &plan.run(1)).pretty();
-        let parallel = results_json("determinism", Scale::Quick, &plan.run(4)).pretty();
-        assert_eq!(serial, parallel);
+        let plan = ExperimentPlan::from_cells("determinism", cells, sim);
+        let run = |jobs| {
+            let results = plan.run(&RunnerOptions::live(Scale::Quick, jobs));
+            results_json("determinism", Scale::Quick, &results).pretty()
+        };
+        assert_eq!(run(1), run(4));
     }
 
     #[test]
@@ -877,30 +872,62 @@ mod tests {
     }
 
     #[test]
-    fn mode_flag_parses_both_forms_and_defaults_live() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_mode(&to_args(&["bin", "--quick"])), RunMode::Live);
-        assert_eq!(
-            parse_mode(&to_args(&["bin", "--record", "traces"])),
-            RunMode::Record(PathBuf::from("traces"))
-        );
-        assert_eq!(
-            parse_mode(&to_args(&["bin", "--replay=traces/quick"])),
-            RunMode::Replay(PathBuf::from("traces/quick"))
-        );
+    fn flags_parse_both_forms_with_defaults() {
+        let (opts, extra) = parse(&[], &[]).expect("empty argv");
+        assert_eq!(opts.scale, Scale::Full);
+        assert_eq!(opts.mode, RunMode::Live);
+        assert_eq!(opts.shards, 1);
+        assert!(extra.is_empty());
+        let (opts, _) = parse(&["--quick", "--jobs", "4", "--shards=2"], &[]).expect("valid");
+        assert_eq!((opts.scale, opts.jobs, opts.shards), (Scale::Quick, 4, 2));
+        let (opts, _) = parse(&["--record", "traces"], &[]).expect("valid");
+        assert_eq!(opts.mode, RunMode::Record(PathBuf::from("traces")));
+        let (opts, _) = parse(&["--replay=traces/quick", "--depth=9"], &[]).expect("valid");
+        assert_eq!(opts.mode, RunMode::Replay(PathBuf::from("traces/quick")));
+        assert_eq!(opts.depth, Some(9));
+    }
+
+    /// Every bad argv names the offending flag instead of running at a
+    /// default (a typo of `--quick` must not start a full-scale run).
+    #[test]
+    fn bad_flags_and_values_are_errors_naming_the_flag() {
+        for (args, flag) in [
+            (&["--quik"][..], "--quik"),
+            (&["--shards", "0"], "--shards"),
+            (&["--jobs=x"], "--jobs"),
+            (&["--jobs", "0"], "--jobs"),
+            (&["--jobs"], "--jobs"),
+            (&["--depth", "-1"], "--depth"),
+            (&["--quick=1"], "--quick"),
+            (&["--record", "a", "--replay", "b"], "--record"),
+            (&["--endurance", "--replay", "b"], "--endurance"),
+            (&["--seed", "7"], "--seed"),
+            (&["stray"], "stray"),
+        ] {
+            let err = parse(args, &[]).expect_err(&format!("{args:?} must be rejected"));
+            assert!(
+                err.contains(flag),
+                "{args:?}: error {err:?} does not name {flag}"
+            );
+        }
     }
 
     #[test]
-    #[should_panic(expected = "mutually exclusive")]
-    fn record_and_replay_conflict() {
-        let args: Vec<String> = ["bin", "--record", "a", "--replay", "b"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let _ = parse_mode(&args);
+    fn extra_flags_are_accepted_only_where_declared() {
+        assert!(parse(&["--seed", "7"], &[]).is_err());
+        assert!(parse(&["--dir", "x"], &["--seed"]).is_err());
+        let (opts, extra) = parse(&["--quick", "--seed", "7"], &["--seed"]).expect("declared");
+        assert_eq!(opts.scale, Scale::Quick);
+        assert_eq!(extra, vec![("--seed".to_string(), "7".to_string())]);
+        let (_, extra) = parse(&["--dir=traces/x"], &["--dir"]).expect("declared");
+        assert_eq!(extra, vec![("--dir".to_string(), "traces/x".to_string())]);
+        assert_eq!(parse_value::<u64>("--seed", "7"), Ok(7));
+        assert!(parse_value::<u64>("--seed", "x")
+            .unwrap_err()
+            .contains("--seed"));
     }
 
-    /// The tentpole contract at the runner level: a record run and a
+    /// The trace contract at the runner level: a record run and a
     /// subsequent replay run of the same plan produce JSON byte-identical to
     /// a live run.
     #[test]
@@ -913,63 +940,47 @@ mod tests {
                 workload: MATRIX[0],
             })
             .collect();
-        let plan = ExperimentPlan::from_cells("trace-ab", cells, sim, Scale::Quick);
-        let live = results_json("trace-ab", Scale::Quick, &plan.run(2)).pretty();
+        let plan = ExperimentPlan::from_cells("trace-ab", cells, sim);
         let dir = std::env::temp_dir().join("hoop-trace-ab-test");
-        std::fs::create_dir_all(&dir).expect("temp trace dir");
-        plan.record_traces(&dir, 2, None);
-        let replayed =
-            results_json("trace-ab", Scale::Quick, &plan.run_replayed(2, false, &dir)).pretty();
+        let run = |mode: RunMode| {
+            let opts = RunnerOptions {
+                mode,
+                ..RunnerOptions::live(Scale::Quick, 2)
+            };
+            results_json("trace-ab", Scale::Quick, &plan.run(&opts)).pretty()
+        };
+        let live = run(RunMode::Live);
+        let recorded = run(RunMode::Record(dir.clone()));
+        let replayed = run(RunMode::Replay(dir.clone()));
         std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(live, recorded);
         assert_eq!(live, replayed);
     }
 
     #[test]
     #[should_panic(expected = "regenerate")]
     fn replaying_a_missing_pack_names_the_fix() {
-        let sim = SimConfig::small_for_tests();
-        let _ = run_cell_replayed(
-            "HOOP",
-            MATRIX[0],
-            &sim,
-            Scale::Quick,
-            7,
-            false,
-            Path::new("/nonexistent-trace-pack"),
-        );
-    }
-
-    #[test]
-    fn jobs_flag_parses_both_forms() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_jobs(&to_args(&["bin", "--jobs", "4"])), Some(4));
-        assert_eq!(
-            parse_jobs(&to_args(&["bin", "--jobs=2", "--quick"])),
-            Some(2)
-        );
-        assert_eq!(parse_jobs(&to_args(&["bin", "--quick"])), None);
+        let opts = RunnerOptions {
+            mode: RunMode::Replay(PathBuf::from("/nonexistent-trace-pack")),
+            ..RunnerOptions::live(Scale::Quick, 1)
+        };
+        let _ = run_cell("HOOP", MATRIX[0], &SimConfig::small_for_tests(), &opts);
     }
 
     /// `--endurance` adds a wear summary per cell; without it the document
     /// is byte-identical to older builds (no `endurance` key at all).
     #[test]
     fn endurance_flag_gates_the_wear_summary() {
-        let sim = SimConfig::small_for_tests();
-        let plan = ExperimentPlan::from_cells(
-            "wear",
-            vec![Cell {
-                engine: "HOOP",
-                workload: MATRIX[2],
-            }],
-            sim,
-            Scale::Quick,
-        );
-        let plain = plan.run_instrumented(1, false, false);
+        let plan = one_cell_plan("wear", "HOOP", MATRIX[2]);
+        let plain = plan.run(&RunnerOptions::live(Scale::Quick, 1));
         assert!(plain[0].endurance.is_none());
         assert!(!results_json("wear", Scale::Quick, &plain)
             .pretty()
             .contains("\"endurance\""));
-        let tracked = plan.run_instrumented(1, false, true);
+        let tracked = plan.run(&RunnerOptions {
+            endurance: true,
+            ..RunnerOptions::live(Scale::Quick, 1)
+        });
         let e = tracked[0].endurance.as_ref().expect("summary present");
         assert!(e.total_line_writes > 0);
         assert!(e.max_line_writes > 0);
@@ -986,19 +997,45 @@ mod tests {
         }
     }
 
+    /// `--sanitize` and `--endurance` compose: one cell carries both
+    /// summaries, and neither observer moves the measured report.
+    #[test]
+    fn sanitize_and_endurance_together_report_both_and_leave_the_report_alone() {
+        let sim = SimConfig::small_for_tests();
+        let plain = run_cell(
+            "HOOP",
+            MATRIX[2],
+            &sim,
+            &RunnerOptions::live(Scale::Quick, 1),
+        );
+        let both = run_cell(
+            "HOOP",
+            MATRIX[2],
+            &sim,
+            &RunnerOptions {
+                sanitize: true,
+                endurance: true,
+                ..RunnerOptions::live(Scale::Quick, 1)
+            },
+        );
+        let san = both.sanitizer.as_ref().expect("sanitizer summary");
+        assert!(san.is_clean(), "{} violations", san.violations);
+        assert!(san.events > 0);
+        assert!(
+            both.endurance
+                .as_ref()
+                .expect("wear summary")
+                .total_line_writes
+                > 0
+        );
+        assert_eq!(format!("{:?}", plain.report), format!("{:?}", both.report));
+    }
+
     #[test]
     fn cell_result_json_is_schema_versioned() {
-        let sim = SimConfig::small_for_tests();
-        let plan = ExperimentPlan::from_cells(
-            "schema",
-            vec![Cell {
-                engine: "Ideal",
-                workload: MATRIX[0],
-            }],
-            sim,
-            Scale::Quick,
-        );
-        let doc = results_json("schema", Scale::Quick, &plan.run(1)).pretty();
+        let plan = one_cell_plan("schema", "Ideal", MATRIX[0]);
+        let results = plan.run(&RunnerOptions::live(Scale::Quick, 1));
+        let doc = results_json("schema", Scale::Quick, &results).pretty();
         assert!(doc.starts_with("{\n  \"schema_version\": 1,"));
         for key in [
             "\"metrics\"",

@@ -17,11 +17,11 @@
 use std::path::Path;
 
 use simcore::config::SimConfig;
-use trace::{default_txs_per_core, record_workload, RecordOptions};
+use trace::default_txs_per_core;
 use workloads::WorkloadSpec;
 
 use crate::experiments::{spec_for, Scale, WorkloadConfig, MATRIX, TPCC};
-use crate::runner::{run_parallel, trace_path, ExperimentPlan};
+use crate::runner::{record_trace, run_parallel, ExperimentPlan, RunnerOptions};
 
 /// Directory of the committed quick-scale pack, relative to the workspace
 /// root.
@@ -75,24 +75,12 @@ pub fn record_table4_traces(
     let depth =
         depth.unwrap_or_else(|| default_txs_per_core(max_txs, u64::from(sim.worker_threads)));
     run_parallel(&TABLE4_CONFIGS, jobs, |&wcfg| {
-        let label = table4_label(wcfg);
-        let tf = record_workload(
-            &label,
+        record_trace(
+            dir,
+            &table4_label(wcfg),
             table4_spec(wcfg, scale),
             sim,
-            RecordOptions {
-                txs_per_core: depth,
-                values: false,
-            },
-        )
-        .unwrap_or_else(|e| panic!("recording {label}: {e}"));
-        let path = trace_path(dir, &label);
-        tf.write_to(&path)
-            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-        eprintln!(
-            "  recorded {} ({} events)",
-            path.display(),
-            tf.event_count()
+            depth,
         );
     });
 }
@@ -101,8 +89,11 @@ pub fn record_table4_traces(
 /// rows plus the Table IV rows.
 pub fn record_pack(dir: &Path, scale: Scale, jobs: usize, depth: Option<u32>) {
     let sim = SimConfig::default();
-    let plan = ExperimentPlan::matrix("pack", sim, scale);
-    plan.record_traces(dir, jobs, depth);
+    let opts = RunnerOptions {
+        depth,
+        ..RunnerOptions::live(scale, jobs)
+    };
+    ExperimentPlan::matrix("pack", sim).record_traces(dir, &opts);
     record_table4_traces(&sim, scale, dir, jobs, depth);
 }
 

@@ -6,14 +6,14 @@
 //! one small cell per engine.
 
 use hoop_bench::experiments::{Scale, MATRIX};
-use hoop_bench::runner::{derive_workload_seed, run_cell_seeded, CellResult};
+use hoop_bench::runner::{run_cell, RunnerOptions};
 use simcore::config::SimConfig;
 use workloads::driver::ENGINES;
 
 #[test]
 fn cell_results_are_shard_invariant() {
     let wcfg = MATRIX[0]; // vector-64B: the fastest matrix column
-    let seed = derive_workload_seed(wcfg.label);
+    let opts = RunnerOptions::live(Scale::Quick, 1);
     for engine in ENGINES {
         let mut docs = Vec::new();
         for shards in [1u8, 2, 4] {
@@ -21,16 +21,7 @@ fn cell_results_are_shard_invariant() {
                 shards,
                 ..Default::default()
             };
-            let report = run_cell_seeded(engine, wcfg, &sim, Scale::Quick, seed);
-            let cell = CellResult {
-                engine,
-                workload: wcfg.label,
-                seed,
-                report,
-                sanitizer: None,
-                endurance: None,
-            };
-            docs.push(cell.to_json().pretty());
+            docs.push(run_cell(engine, wcfg, &sim, &opts).to_json().pretty());
         }
         assert_eq!(
             docs[0], docs[1],

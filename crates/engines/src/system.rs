@@ -32,7 +32,7 @@ use simcore::{CoreId, Cycle, PAddr, SimConfig, TxId};
 
 use crate::costs;
 use crate::layout;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::TraceEvent;
 use crate::traits::{PersistenceEngine, RecoveryReport};
 
 /// The simulated machine.
@@ -47,7 +47,7 @@ pub struct System {
     tx_start: Vec<Cycle>,
     heap: BumpAllocator,
     tx_latency: Histogram,
-    recording: Option<Trace>,
+    recording: Option<Vec<TraceEvent>>,
     /// Capture-only machines skip the cache hierarchy, the engine, and all
     /// timing: loads and stores only touch the functional byte image (and
     /// the recording, if one is attached). Used by trace recording, where
@@ -124,21 +124,20 @@ impl System {
     }
 
     /// Starts recording the transactional event stream (see
-    /// [`trace::Trace`](crate::trace::Trace)). Any previous recording is
-    /// discarded.
+    /// [`TraceEvent`]). Any previous recording is discarded.
     pub fn start_recording(&mut self) {
-        self.recording = Some(Trace::new());
+        self.recording = Some(Vec::new());
     }
 
-    /// Stops recording and returns the captured trace (empty if recording
+    /// Stops recording and returns the captured events (empty if recording
     /// was never started).
-    pub fn take_trace(&mut self) -> Trace {
+    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.recording.take().unwrap_or_default()
     }
 
     fn record(&mut self, ev: TraceEvent) {
         if let Some(t) = &mut self.recording {
-            t.events.push(ev);
+            t.push(ev);
         }
     }
 

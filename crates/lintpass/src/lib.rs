@@ -1,7 +1,6 @@
 //! Token-aware static analyzer for the HOOP reproduction (`lintpass`).
 //!
-//! This crate replaces the regex line-scanner that used to live in
-//! `pmcheck::lint` with a real lexer ([`lexer`]) and a flow-sensitive
+//! The analyzer pairs a real lexer ([`lexer`]) with a flow-sensitive
 //! analysis stack: [`parse`] recovers per-function bodies from the lossless
 //! token stream, [`cfg`] builds basic-block control-flow graphs (if/else,
 //! match arms, loops with break/continue, early return, `?`), [`dataflow`]

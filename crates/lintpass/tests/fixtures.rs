@@ -71,6 +71,17 @@ fn det_hash_fires_on_std_map() {
 }
 
 #[test]
+fn det_hash_fires_on_std_set_with_capacity() {
+    fires_once(
+        "x.rs",
+        "fn f() {\n    let s = HashSet::with_capacity(4);\n}\n",
+        "det-hash",
+        2,
+        13,
+    );
+}
+
+#[test]
 fn det_hash_fires_through_line_break() {
     // The regex scanner matched per line and missed this split call.
     let src = "fn f() {\n    let m = HashMap::\n        new();\n}\n";
@@ -108,6 +119,21 @@ fn wall_clock_fires_on_instant_now() {
 fn wall_clock_fires_on_system_time_in_multiline_expr() {
     let src = "fn f() {\n    let t =\n        SystemTime\n            ::now();\n}\n";
     fires_once("x.rs", src, "wall-clock", 3, 9);
+}
+
+#[test]
+fn wall_clock_in_block_comment_is_ignored() {
+    clean("x.rs", "/* Instant::now() */ fn f() {}\n");
+}
+
+#[test]
+fn findings_are_reported_in_source_order() {
+    let r = lint_source(
+        "x.rs",
+        "fn f() { let t = Instant::now(); let r = thread_rng(); }\n",
+    );
+    let rules: Vec<&str> = r.findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, vec!["wall-clock", "thread-rng"]);
 }
 
 // -------------------------------------------------------------- thread-rng
@@ -844,6 +870,17 @@ fn allow_marker_suppresses_any_rule_and_is_recorded() {
     assert_eq!(r.allows.len(), 1);
     assert_eq!(r.allows[0].rule, "wall-clock");
     assert_eq!(r.allows[0].line, 2);
+}
+
+#[test]
+fn same_line_allow_marker_suppresses_and_is_recorded() {
+    let r = lint_source(
+        "x.rs",
+        "let t = Instant::now(); // lint:allow(wall-clock)\n",
+    );
+    assert!(r.is_clean());
+    assert_eq!(r.allows.len(), 1);
+    assert_eq!(r.allows[0].rule, "wall-clock");
 }
 
 #[test]

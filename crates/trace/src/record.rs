@@ -66,7 +66,7 @@ pub fn record_workload(
 
     sys.start_recording();
     driver.setup(&mut sys);
-    let setup = convert(sys.take_trace().events, opts.values, true)?;
+    let setup = convert(sys.take_trace(), opts.values, true)?;
 
     let mut per_core = Vec::with_capacity(workers as usize);
     for c in 0..workers {
@@ -74,7 +74,7 @@ pub fn record_workload(
         for _ in 0..opts.txs_per_core {
             driver.run_one(&mut sys, CoreId(c));
         }
-        let events = convert(sys.take_trace().events, opts.values, false)?;
+        let events = convert(sys.take_trace(), opts.values, false)?;
         per_core.push(split_transactions(events, c)?);
     }
 

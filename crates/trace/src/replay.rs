@@ -199,9 +199,10 @@ mod tests {
         spec
     }
 
-    /// The tentpole property: replay must be byte-identical to live. Run a
-    /// small live cell and a replayed one for every engine and compare the
-    /// full reports (throughput, latency, traffic, raw counters).
+    /// The core property: replay must be byte-identical to live. Run a
+    /// small live cell and a replayed one for every engine (the
+    /// multi-controller HOOP variants included) and compare the full reports
+    /// (throughput, latency, traffic, raw counters).
     #[test]
     fn replay_matches_live_for_every_engine() {
         let cfg = SimConfig::small_for_tests();
@@ -222,7 +223,7 @@ mod tests {
                 },
             )
             .expect("record");
-            for engine in ENGINES {
+            for engine in ENGINES.into_iter().chain(["HOOP-MC2", "HOOP-MC4"]) {
                 let mut sys = build_system(engine, &cfg);
                 let mut driver = Driver::new(spec, &cfg);
                 driver.setup(&mut sys);
