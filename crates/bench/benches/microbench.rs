@@ -132,6 +132,10 @@ fn cache_hierarchy(c: &mut Criterion) {
     for i in 0..4096u64 {
         let _ = hier.access(CoreId(0), Line(i), false, false);
     }
+    // Warm the L1-hit bench's 64 lines, so it times hits and not misses.
+    for i in 4096..4160u64 {
+        let _ = hier.access(CoreId(0), Line(i), false, false);
+    }
     c.bench_function("hierarchy_access_l1_hit", |b| {
         let mut i = 0u64;
         b.iter(|| {
@@ -147,6 +151,32 @@ fn cache_hierarchy(c: &mut Criterion) {
                 hier.access(CoreId(0), Line(i), i.is_multiple_of(4), false)
                     .latency,
             )
+        })
+    });
+
+    // The cross-core paths, on the 16-core default config: cleaning a
+    // committed line (what `System::tx_end` does per line) held by one
+    // core, and a write stealing a line from the other cores sharing it.
+    let mut hier = Hierarchy::new(&cfg);
+    let clean = Line(1 << 20);
+    let _ = hier.access(CoreId(3), clean, true, true);
+    c.bench_function("hierarchy_clean_line", |b| {
+        b.iter(|| black_box(hier.clean_line(black_box(clean))))
+    });
+    let shared = Line(1 << 21);
+    let _ = hier.access(CoreId(0), shared, true, true);
+    c.bench_function("hierarchy_write_steal", |b| {
+        // Each iteration the three other cores of 0..4 read the line (the
+        // last writer hits its L1, the other two refill from the LLC), then
+        // the next writer — stolen from last time — writes it: an LLC hit
+        // that steals the line from three sharers.
+        let mut writer = 0u8;
+        b.iter(|| {
+            writer = (writer + 1) % 4;
+            for core in (1..4).map(|k| (writer + k) % 4) {
+                let _ = hier.access(CoreId(core), shared, false, false);
+            }
+            black_box(hier.access(CoreId(writer), shared, true, true).latency)
         })
     });
 }

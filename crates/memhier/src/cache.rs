@@ -36,6 +36,17 @@ struct Slot {
     meta: u64,
 }
 
+impl Slot {
+    /// The slot's line and state.
+    fn evicted(&self) -> Evicted {
+        Evicted {
+            line: Line(self.tag),
+            dirty: self.meta & DIRTY != 0,
+            persistent: self.meta & PERSISTENT != 0,
+        }
+    }
+}
+
 /// One set-associative cache level.
 ///
 /// Tags are full line numbers; replacement is true LRU via access stamps.
@@ -143,25 +154,36 @@ impl Cache {
         self.find(line).is_some()
     }
 
+    /// Looks up `line` without touching LRU state, returning its slot
+    /// index (unique across the whole cache) if present. Refreshes the
+    /// set's memo, so a following operation on the same line skips the
+    /// way scan.
+    #[inline]
+    pub fn lookup(&mut self, line: Line) -> Option<usize> {
+        self.find_update(line)
+    }
+
     /// Looks up `line`; on a hit, refreshes LRU and optionally marks the
     /// line dirty/persistent. Returns whether it hit.
     #[inline]
     pub fn touch(&mut self, line: Line, write: bool, persistent: bool) -> bool {
+        self.touch_slot(line, write, persistent).is_some()
+    }
+
+    /// [`touch`](Cache::touch) that returns the hit's slot index.
+    #[inline]
+    pub fn touch_slot(&mut self, line: Line, write: bool, persistent: bool) -> Option<usize> {
         self.tick += 1;
-        match self.find_update(line) {
-            Some(i) => {
-                let s = &mut self.slots[i];
-                let flags = (s.meta & (DIRTY | PERSISTENT))
-                    | if write {
-                        DIRTY | if persistent { PERSISTENT } else { 0 }
-                    } else {
-                        0
-                    };
-                s.meta = (self.tick << STAMP_SHIFT) | flags;
-                true
-            }
-            None => false,
-        }
+        let i = self.find_update(line)?;
+        let s = &mut self.slots[i];
+        let flags = (s.meta & (DIRTY | PERSISTENT))
+            | if write {
+                DIRTY | if persistent { PERSISTENT } else { 0 }
+            } else {
+                0
+            };
+        s.meta = (self.tick << STAMP_SHIFT) | flags;
+        Some(i)
     }
 
     /// Inserts `line` (which must not be present), returning the evicted
@@ -171,6 +193,21 @@ impl Cache {
     ///
     /// Panics in debug builds if the line is already present.
     pub fn insert(&mut self, line: Line, dirty: bool, persistent: bool) -> Option<Evicted> {
+        self.insert_slot(line, dirty, persistent).1
+    }
+
+    /// [`insert`](Cache::insert) that also returns the slot index `line`
+    /// now occupies — the slot the returned victim, if any, just left.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if the line is already present.
+    pub fn insert_slot(
+        &mut self,
+        line: Line,
+        dirty: bool,
+        persistent: bool,
+    ) -> (usize, Option<Evicted>) {
         debug_assert!(!self.contains(line), "insert of present line");
         self.tick += 1;
         let base = self.set_base(line);
@@ -198,15 +235,7 @@ impl Cache {
         // victim may be the memoized line): point it at the fresh insertion.
         let si = self.set_index(line);
         self.memo[si] = (line.0, (victim - base) as u32);
-        if old.tag != INVALID {
-            Some(Evicted {
-                line: Line(old.tag),
-                dirty: old.meta & DIRTY != 0,
-                persistent: old.meta & PERSISTENT != 0,
-            })
-        } else {
-            None
-        }
+        (victim, (old.tag != INVALID).then(|| old.evicted()))
     }
 
     /// Removes `line` if present, returning its (dirty, persistent) state.
@@ -250,23 +279,14 @@ impl Cache {
         }
     }
 
-    /// Invalidates every valid line, returning their states (used for
-    /// end-of-run draining).
-    pub fn drain_valid(&mut self) -> Vec<Evicted> {
-        let mut out = Vec::new();
-        for s in &mut self.slots {
-            if s.tag != INVALID {
-                out.push(Evicted {
-                    line: Line(s.tag),
-                    dirty: s.meta & DIRTY != 0,
-                    persistent: s.meta & PERSISTENT != 0,
-                });
-                s.tag = INVALID;
-                s.meta = 0;
-            }
-        }
-        self.memo.fill((INVALID, WAY_MISS));
-        out
+    /// Every valid line with its slot index, in slot order (does not touch
+    /// LRU state).
+    pub fn valid_slots(&self) -> impl Iterator<Item = (usize, Evicted)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.tag != INVALID)
+            .map(|(i, s)| (i, s.evicted()))
     }
 
     /// Invalidates everything (simulated power loss).
@@ -405,7 +425,7 @@ mod tests {
                 assert_eq!(c.find(Line(probe)), c.scan(Line(probe)));
             }
         }
-        c.drain_valid();
+        c.clear();
         for probe in 0..32 {
             assert_eq!(c.find(Line(probe)), None);
         }

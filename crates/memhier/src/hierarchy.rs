@@ -3,7 +3,9 @@
 //! Private L1/L2 per core, shared LLC. Inclusion is maintained: an LLC
 //! eviction back-invalidates every private copy and merges their dirty /
 //! persistent bits into the reported eviction, which is the event stream the
-//! persistence engines consume.
+//! persistence engines consume. An exact sharer directory beside the LLC
+//! records which cores' L2s hold each line, so cross-core operations visit
+//! only those cores.
 
 use simcore::addr::Line;
 use simcore::config::SimConfig;
@@ -35,7 +37,7 @@ pub struct FlushResult {
 }
 
 /// Hit/miss statistics for the hierarchy.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HierStats {
     /// Total accesses.
     pub accesses: Counter,
@@ -63,12 +65,76 @@ impl HierStats {
     }
 }
 
+/// Exact LLC sharer directory: one bit per core for every LLC slot, stored
+/// as `words` 64-bit words per slot. Bit `c` of a slot is set exactly when
+/// the line in that slot is resident in core `c`'s L2 — and so exactly when
+/// it may be in that core's L1, since L1 ⊆ L2. An invalid slot has no bits.
+#[derive(Clone, Debug)]
+struct Directory {
+    bits: Vec<u64>,
+    words: usize,
+}
+
+impl Directory {
+    fn new(slots: usize, cores: usize) -> Self {
+        let words = cores.div_ceil(64);
+        Directory {
+            bits: vec![0; slots * words],
+            words,
+        }
+    }
+
+    #[inline]
+    fn row(&self, slot: usize) -> &[u64] {
+        &self.bits[slot * self.words..(slot + 1) * self.words]
+    }
+
+    #[inline]
+    fn set(&mut self, slot: usize, core: usize) {
+        self.bits[slot * self.words + core / 64] |= 1 << (core % 64);
+    }
+
+    #[inline]
+    fn unset(&mut self, slot: usize, core: usize) {
+        self.bits[slot * self.words + core / 64] &= !(1 << (core % 64));
+    }
+
+    #[inline]
+    fn reset(&mut self, slot: usize) {
+        self.bits[slot * self.words..(slot + 1) * self.words].fill(0);
+    }
+
+    fn reset_all(&mut self) {
+        self.bits.fill(0);
+    }
+}
+
+/// The cores whose bits are set in a directory row, ascending.
+#[inline]
+fn sharers(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(w, &bits)| {
+        let mut bits = bits;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + b
+            })
+        })
+    })
+}
+
 /// The modeled cache hierarchy.
+///
+/// Cross-core operations (write steals, back-invalidation, clean, flush,
+/// drain) consult the sharer directory and visit only the cores that
+/// hold the line, instead of probing every private cache.
 #[derive(Clone, Debug)]
 pub struct Hierarchy {
     l1: Vec<Cache>,
     l2: Vec<Cache>,
     llc: Cache,
+    dir: Directory,
     l1_latency: Cycle,
     l2_latency: Cycle,
     llc_latency: Cycle,
@@ -79,10 +145,12 @@ impl Hierarchy {
     /// Builds the hierarchy described by `cfg` (one L1/L2 pair per core).
     pub fn new(cfg: &SimConfig) -> Self {
         let cores = cfg.cores as usize;
+        let llc_slots = (cfg.llc.sets() * cfg.llc.ways as u64) as usize;
         Hierarchy {
             l1: (0..cores).map(|_| Cache::new(&cfg.l1)).collect(),
             l2: (0..cores).map(|_| Cache::new(&cfg.l2)).collect(),
             llc: Cache::new(&cfg.llc),
+            dir: Directory::new(llc_slots, cores),
             l1_latency: cfg.l1.latency_cycles,
             l2_latency: cfg.l2.latency_cycles,
             llc_latency: cfg.llc.latency_cycles,
@@ -120,8 +188,7 @@ impl Hierarchy {
         latency += self.l2_latency;
         if self.l2[c].touch(line, write, persistent) {
             self.stats.l2_hits.inc();
-            let evicted = self.fill_l1(c, line, write, persistent);
-            debug_assert!(evicted.is_none(), "L1 fill cannot evict from LLC");
+            self.fill_l1(c, line, write, persistent);
             return AccessResult {
                 latency,
                 llc_miss: false,
@@ -130,14 +197,14 @@ impl Hierarchy {
         }
 
         latency += self.llc_latency;
-        if self.llc.touch(line, write, persistent) {
+        if let Some(slot) = self.llc.touch_slot(line, write, persistent) {
             self.stats.llc_hits.inc();
             // On a write, steal the line from any other core that has it.
             if write {
-                self.invalidate_private_except(c, line);
+                self.steal(c, line, slot);
             }
-            self.fill_l2(c, line);
-            let _ = self.fill_l1(c, line, write, persistent);
+            self.fill_l2(c, line, slot);
+            self.fill_l1(c, line, write, persistent);
             return AccessResult {
                 latency,
                 llc_miss: false,
@@ -145,14 +212,17 @@ impl Hierarchy {
             };
         }
 
-        // Full miss: fill all levels, possibly evicting from the LLC.
+        // Full miss: fill all levels, possibly evicting from the LLC. By
+        // inclusion a line absent from the LLC is in no private cache, so a
+        // write has nothing to steal.
         self.stats.llc_misses.inc();
-        if write {
-            self.invalidate_private_except(c, line);
-        }
-        let evicted = self.fill_llc(line, write, write && persistent);
-        self.fill_l2(c, line);
-        let _ = self.fill_l1(c, line, write, persistent);
+        debug_assert!(
+            self.l2.iter().all(|l2| !l2.contains(line)),
+            "inclusion: a private copy of a line absent from the LLC"
+        );
+        let (slot, evicted) = self.fill_llc(line, write, write && persistent);
+        self.fill_l2(c, line, slot);
+        self.fill_l1(c, line, write, persistent);
         if evicted.is_some() {
             self.stats.dirty_evictions.inc();
         }
@@ -164,27 +234,36 @@ impl Hierarchy {
     }
 
     /// Inserts into the LLC, handling inclusion: the victim is purged from
-    /// every private cache and private dirty/persistent state is merged.
-    /// Returns the victim only if its merged state is dirty.
-    fn fill_llc(&mut self, line: Line, dirty: bool, persistent: bool) -> Option<Evicted> {
-        let victim = self.llc.insert(line, dirty, persistent)?;
-        let mut merged = victim;
-        for c in 0..self.l1.len() {
-            if let Some((d, p)) = self.l1[c].remove(victim.line) {
-                merged.dirty |= d;
-                merged.persistent |= p;
-            }
-            if let Some((d, p)) = self.l2[c].remove(victim.line) {
+    /// its sharers' private caches and their dirty/persistent state is
+    /// merged. Returns the slot `line` now occupies, and the victim only if
+    /// its merged state is dirty.
+    fn fill_llc(&mut self, line: Line, dirty: bool, persistent: bool) -> (usize, Option<Evicted>) {
+        let (slot, victim) = self.llc.insert_slot(line, dirty, persistent);
+        let Some(mut merged) = victim else {
+            debug_assert!(self.dir.row(slot).iter().all(|&w| w == 0));
+            return (slot, None);
+        };
+        // The victim just left `slot`; its sharer bits are still there.
+        for c in sharers(self.dir.row(slot)) {
+            for (d, p) in [
+                self.l1[c].remove(merged.line),
+                self.l2[c].remove(merged.line),
+            ]
+            .into_iter()
+            .flatten()
+            {
                 merged.dirty |= d;
                 merged.persistent |= p;
             }
         }
-        merged.dirty.then_some(merged)
+        self.dir.reset(slot);
+        (slot, merged.dirty.then_some(merged))
     }
 
-    /// Inserts into a core's L2; a dirty L2 victim is written back into the
-    /// LLC (which must contain it, by inclusion).
-    fn fill_l2(&mut self, core: usize, line: Line) {
+    /// Inserts into a core's L2 and records the core as a sharer of LLC
+    /// slot `slot` (which holds `line`); a dirty L2 victim is written back
+    /// into the LLC (which must contain it, by inclusion).
+    fn fill_l2(&mut self, core: usize, line: Line, slot: usize) {
         // Callers only reach here after `line` missed this L2, so there is
         // no residency check to repeat.
         if let Some(v) = self.l2[core].insert(line, false, false) {
@@ -195,20 +274,20 @@ impl Hierarchy {
                 dirty |= d;
                 persistent |= p;
             }
+            let vslot = self
+                .llc
+                .lookup(v.line)
+                .expect("inclusion: an L2 line is in the LLC");
+            self.dir.unset(vslot, core);
             if dirty {
                 self.llc.mark_dirty(v.line, persistent);
             }
         }
+        self.dir.set(slot, core);
     }
 
     /// Inserts into a core's L1; a dirty L1 victim is written back into L2.
-    fn fill_l1(
-        &mut self,
-        core: usize,
-        line: Line,
-        write: bool,
-        persistent: bool,
-    ) -> Option<Evicted> {
+    fn fill_l1(&mut self, core: usize, line: Line, write: bool, persistent: bool) {
         // Callers only reach here after `line` missed this L1, so there is
         // no residency check to repeat.
         if let Some(v) = self.l1[core].insert(line, write, write && persistent) {
@@ -216,24 +295,27 @@ impl Hierarchy {
                 self.l2[core].mark_dirty(v.line, v.persistent);
             }
         }
-        None
     }
 
-    fn invalidate_private_except(&mut self, owner: usize, line: Line) {
-        for c in 0..self.l1.len() {
-            if c == owner {
-                continue;
+    /// Removes `line` (in LLC slot `slot`) from every sharer but `owner`,
+    /// merging their dirty copies into the LLC.
+    fn steal(&mut self, owner: usize, line: Line, slot: usize) {
+        let mut dirty = false;
+        let mut persistent = false;
+        for c in sharers(self.dir.row(slot)) {
+            // The owner missed its L2 to get here, so it is no sharer.
+            debug_assert_ne!(c, owner, "directory lists a core whose L2 missed");
+            for (d, p) in [self.l1[c].remove(line), self.l2[c].remove(line)]
+                .into_iter()
+                .flatten()
+            {
+                dirty |= d;
+                persistent |= d && p;
             }
-            if let Some((d, p)) = self.l1[c].remove(line) {
-                if d {
-                    self.llc.mark_dirty(line, p);
-                }
-            }
-            if let Some((d, p)) = self.l2[c].remove(line) {
-                if d {
-                    self.llc.mark_dirty(line, p);
-                }
-            }
+        }
+        self.dir.reset(slot);
+        if dirty {
+            self.llc.mark_dirty(line, persistent);
         }
     }
 
@@ -255,13 +337,15 @@ impl Hierarchy {
     /// Marks `line` clean in every level (its data just became durable).
     /// Returns `true` if any copy was dirty.
     pub fn clean_line(&mut self, line: Line) -> bool {
+        let Some(slot) = self.llc.lookup(line) else {
+            return false;
+        };
         let mut was = false;
-        for c in 0..self.l1.len() {
+        for c in sharers(self.dir.row(slot)) {
             was |= self.l1[c].clean(line);
             was |= self.l2[c].clean(line);
         }
-        was |= self.llc.clean(line);
-        was
+        was | self.llc.clean(line)
     }
 
     /// Flushes `line` out of the entire hierarchy (clflush semantics),
@@ -269,19 +353,21 @@ impl Hierarchy {
     pub fn flush_line(&mut self, line: Line) -> FlushResult {
         let mut dirty = false;
         let mut persistent = false;
-        for c in 0..self.l1.len() {
-            if let Some((d, p)) = self.l1[c].remove(line) {
+        if let Some(slot) = self.llc.lookup(line) {
+            for c in sharers(self.dir.row(slot)) {
+                for (d, p) in [self.l1[c].remove(line), self.l2[c].remove(line)]
+                    .into_iter()
+                    .flatten()
+                {
+                    dirty |= d;
+                    persistent |= p;
+                }
+            }
+            self.dir.reset(slot);
+            if let Some((d, p)) = self.llc.remove(line) {
                 dirty |= d;
                 persistent |= p;
             }
-            if let Some((d, p)) = self.l2[c].remove(line) {
-                dirty |= d;
-                persistent |= p;
-            }
-        }
-        if let Some((d, p)) = self.llc.remove(line) {
-            dirty |= d;
-            persistent |= p;
         }
         FlushResult {
             was_dirty: dirty,
@@ -289,39 +375,53 @@ impl Hierarchy {
         }
     }
 
-    /// Returns `true` if `line` is resident anywhere in the hierarchy.
+    /// Returns `true` if `line` is resident anywhere in the hierarchy (by
+    /// inclusion, exactly when it is in the LLC).
     pub fn contains(&self, line: Line) -> bool {
         self.llc.contains(line)
-            || self.l1.iter().any(|c| c.contains(line))
-            || self.l2.iter().any(|c| c.contains(line))
+    }
+
+    /// The sharer directory's view of every LLC-resident line: the line
+    /// and the cores whose L2 (and possibly L1) holds it, in LLC slot
+    /// order. A consistency-checking aid; the access paths never call it.
+    pub fn directory(&self) -> Vec<(Line, Vec<CoreId>)> {
+        self.llc
+            .valid_slots()
+            .map(|(slot, e)| {
+                let cores = sharers(self.dir.row(slot))
+                    .map(|c| CoreId(c as u8))
+                    .collect();
+                (e.line, cores)
+            })
+            .collect()
     }
 
     /// Removes and returns every dirty line in the hierarchy (merging
     /// private and shared state), cleaning them in place. Used at the end of
     /// a measured run so write-traffic totals are comparable across engines
-    /// regardless of what happened to still be cached.
+    /// regardless of what happened to still be cached. The result is sorted
+    /// by line.
     pub fn drain_dirty(&mut self) -> Vec<Evicted> {
-        // Collect every valid copy, then sort by line and merge equal-line
-        // runs in place — no intermediate hash map. The result is the same
-        // line-sorted, state-OR-merged list the old map-based merge built.
-        let mut all: Vec<Evicted> = Vec::new();
-        for c in 0..self.l1.len() {
-            all.extend(self.l1[c].drain_valid());
-            all.extend(self.l2[c].drain_valid());
-        }
-        all.extend(self.llc.drain_valid());
-        all.sort_by_key(|e| e.line.0);
-        let mut out: Vec<Evicted> = Vec::with_capacity(all.len());
-        for e in all {
-            match out.last_mut() {
-                Some(last) if last.line == e.line => {
-                    last.dirty |= e.dirty;
-                    last.persistent |= e.persistent;
+        // By inclusion every valid copy is an LLC line or a private copy at
+        // one of its sharers, so walking the LLC and merging each line's
+        // sharers sees every copy exactly once.
+        let mut out: Vec<Evicted> = Vec::new();
+        for (slot, mut e) in self.llc.valid_slots() {
+            for c in sharers(self.dir.row(slot)) {
+                for (d, p) in [self.l1[c].remove(e.line), self.l2[c].remove(e.line)]
+                    .into_iter()
+                    .flatten()
+                {
+                    e.dirty |= d;
+                    e.persistent |= p;
                 }
-                _ => out.push(e),
+            }
+            if e.dirty {
+                out.push(e);
             }
         }
-        out.retain(|e| e.dirty);
+        out.sort_unstable_by_key(|e| e.line.0);
+        self.clear();
         out
     }
 
@@ -334,6 +434,7 @@ impl Hierarchy {
             c.clear();
         }
         self.llc.clear();
+        self.dir.reset_all();
     }
 
     /// Access statistics.
@@ -452,6 +553,25 @@ mod tests {
         assert_eq!(h.stats().accesses.get(), 2);
         assert_eq!(h.stats().llc_misses.get(), 1);
         assert!((h.stats().llc_miss_ratio() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn directory_tracks_sharers_across_words() {
+        // 130 cores need three directory words per LLC slot.
+        let mut cfg = SimConfig::small_for_tests();
+        cfg.cores = 130;
+        let mut h = Hierarchy::new(&cfg);
+        for c in [0, 64, 129] {
+            h.access(CoreId(c), Line(5), false, false);
+        }
+        let cores = |h: &Hierarchy| h.directory()[0].1.clone();
+        assert_eq!(cores(&h), [CoreId(0), CoreId(64), CoreId(129)]);
+        // A write from core 65 steals the line from all three.
+        h.access(CoreId(65), Line(5), true, true);
+        assert_eq!(cores(&h), [CoreId(65)]);
+        assert!(h.clean_line(Line(5)));
+        assert!(!h.flush_line(Line(5)).was_dirty);
+        assert!(h.directory().is_empty());
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! transactional store, so the stores-per-transaction naturally vary with
 //! rebalancing — the 2-10 range Table III lists.
 
-use std::collections::BTreeMap;
-
 use engines::system::System;
 use simcore::{CoreId, PAddr, SimRng};
 
+use crate::shadow::SortedShadow;
 use crate::spec::WorkloadSpec;
 use crate::TxWorkload;
 
@@ -36,7 +35,7 @@ pub struct PRbTree {
     root_meta: PAddr,
     root: u64,
     rng: SimRng,
-    shadow: BTreeMap<u64, u64>,
+    shadow: SortedShadow,
     version: u64,
 }
 
@@ -51,7 +50,7 @@ impl PRbTree {
             root_meta: PAddr(0),
             root: NIL,
             rng: SimRng::seed(spec.seed ^ 0xB7EE).fork(stream),
-            shadow: BTreeMap::new(),
+            shadow: SortedShadow::new(),
             version: 0,
         }
     }
@@ -280,7 +279,7 @@ impl TxWorkload for PRbTree {
         } else {
             // Update an existing key (uniform over the shadow key space).
             let idx = self.rng.below(self.shadow.len() as u64);
-            let key = *self.shadow.keys().nth(idx as usize).expect("in range");
+            let key = self.shadow.nth_key(idx as usize).expect("in range");
             self.insert(sys, core, key, value);
         }
         sys.tx_end(core, tx);
@@ -300,9 +299,12 @@ impl TxWorkload for PRbTree {
             got.push((sys.peek_u64(PAddr(n + KEY)), sys.peek_u64(PAddr(n + VALUE))));
             cur = sys.peek_u64(PAddr(n + RIGHT));
         }
-        let want: Vec<(u64, u64)> = self.shadow.iter().map(|(k, v)| (*k, *v)).collect();
-        let mismatches =
-            got.iter().zip(&want).filter(|(a, b)| a != b).count() + got.len().abs_diff(want.len());
+        let mismatches = got
+            .iter()
+            .zip(self.shadow.iter())
+            .filter(|(a, b)| a != b)
+            .count()
+            + got.len().abs_diff(self.shadow.len());
         mismatches + self.check_invariants(sys)
     }
 }
