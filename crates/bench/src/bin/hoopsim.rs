@@ -18,7 +18,8 @@
 //! recorded workload flags reports. `--txs` defaults to what the trace
 //! covers.
 //!
-//! Unknown flags and malformed values exit with code 2.
+//! Unknown flags, unknown engine or workload names and malformed values exit
+//! with code 2.
 
 use std::path::Path;
 
@@ -31,7 +32,7 @@ use trace::{
     default_txs_per_core, record_workload, replay_cell, RecordOptions, ReplayWindow, TraceHeader,
     TraceReader,
 };
-use workloads::driver::{build_system, Driver, RunReport, ENGINES};
+use workloads::driver::{build_system, engine_names, Driver, RunReport, ENGINES};
 use workloads::{WorkloadKind, WorkloadSpec};
 
 /// The flags every command accepts (each command reads the ones it needs).
@@ -80,6 +81,20 @@ fn kind_of(name: &str) -> WorkloadKind {
         "tpcc" => WorkloadKind::Tpcc,
         other => usage_error(&format!("unknown workload '{other}' (see `hoopsim list`)")),
     }
+}
+
+/// The `--engine` value (default HOOP); exits with code 2 on a name
+/// `build_system` does not accept.
+fn engine_of(opts: &DetHashMap<String, String>) -> &str {
+    let engine = opts.get("engine").map(String::as_str).unwrap_or("HOOP");
+    if !engine_names().any(|e| e == engine) {
+        let names: Vec<&str> = engine_names().collect();
+        usage_error(&format!(
+            "--engine: unknown engine '{engine}' (one of: {})",
+            names.join(", ")
+        ));
+    }
+    engine
 }
 
 fn spec_from(opts: &DetHashMap<String, String>) -> WorkloadSpec {
@@ -182,7 +197,7 @@ fn main() {
     let (cmd, opts) = parse_args();
     match cmd.as_str() {
         "run" => {
-            let engine = opts.get("engine").map(String::as_str).unwrap_or("HOOP");
+            let engine = engine_of(&opts);
             let spec = spec_from(&opts);
             let txs = opt(&opts, "txs").unwrap_or(10_000);
             let sanitize = opts.contains_key("sanitize");
@@ -226,7 +241,7 @@ fn main() {
             println!("recorded {events} events covering {txs} txs -> {out}");
         }
         "replay" => {
-            let engine = opts.get("engine").map(String::as_str).unwrap_or("HOOP");
+            let engine = engine_of(&opts);
             let input = opts
                 .get("in")
                 .cloned()
@@ -260,8 +275,8 @@ fn main() {
             );
         }
         "list" => {
-            println!("engines:   {}", ENGINES.join(", "));
-            println!("           HOOP-MC2, HOOP-MC4 (multi-controller, §III-I)");
+            let names: Vec<&str> = engine_names().collect();
+            println!("engines:   {}", names.join(", "));
             println!("workloads: vector, hashmap, queue, rbtree, btree, ycsb, tpcc");
         }
         _ => {

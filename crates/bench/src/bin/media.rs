@@ -31,7 +31,7 @@ use hoop_bench::runner::{
 };
 use nvm::media::MediaSummary;
 use simcore::config::{MediaConfig, SimConfig};
-use workloads::driver::{build_system, Driver, ENGINES};
+use workloads::driver::{build_system, engine_names, Driver};
 
 /// The stress fault schedule: `MediaConfig::enabled(seed)` with the
 /// endurance horizon pulled within the run's reach, so wear-outs, ECC
@@ -76,11 +76,7 @@ fn main() {
         Scale::Quick => 45_000,
         Scale::Full => 150_000,
     };
-    let engines: Vec<&str> = ENGINES
-        .iter()
-        .copied()
-        .chain(["HOOP-MC2", "HOOP-MC4"])
-        .collect();
+    let engines: Vec<&str> = engine_names().collect();
 
     println!(
         "== Media faults: lifetime & UE survival ({} / {} txs, cutoff {}, seed {}) ==",

@@ -25,15 +25,15 @@
 //! [`UncommittedEffectVisible`]: crate::oracle::ViolationKind::UncommittedEffectVisible
 //! [`UeDataLoss`]: crate::oracle::ViolationKind::UeDataLoss
 
+use engines::common::ControllerBase;
 use engines::system::System;
 use engines::traits::{
-    CommitOutcome, EngineProperties, EngineStats, Level, MissFill, PersistenceEngine,
-    RecoveryReport,
+    CommitOutcome, EngineProperties, Level, MissFill, PersistenceEngine, RecoveryReport,
 };
-use nvm::{MediaModel, NvmDevice, Op, PersistentStore, TrafficClass};
+use nvm::{Op, TrafficClass};
 use simcore::addr::CACHE_LINE_BYTES;
 use simcore::config::MediaConfig;
-use simcore::crashpoint::{CrashValve, PersistEvent};
+use simcore::crashpoint::PersistEvent;
 use simcore::{CoreId, Cycle, DetHashMap, DetHashSet, Line, PAddr, SimConfig, TxId};
 
 use crate::harness::Harness;
@@ -42,14 +42,11 @@ use crate::oracle::OracleMode;
 /// One durable log record: `(tx, addr, bytes)`.
 type LogRecord = (u64, u64, Vec<u8>);
 
-/// Shared scaffolding of the two fixtures: a redo-style engine whose only
+/// Shared scaffolding of the fixtures: a redo-style engine whose only
 /// difference is *when* things reach durability.
 struct FixtureBase {
-    device: NvmDevice,
-    store: PersistentStore,
-    stats: EngineStats,
-    crash: CrashValve,
-    next_tx: u64,
+    /// Device, durable store, counters, valve and hooks.
+    ctl: ControllerBase,
     /// Volatile write buffer of open transactions (lost on crash).
     active: DetHashMap<u64, Vec<(u64, Vec<u8>)>>,
     /// Durable redo log (every push is valve-gated).
@@ -61,11 +58,7 @@ struct FixtureBase {
 impl FixtureBase {
     fn new(cfg: &SimConfig) -> Self {
         FixtureBase {
-            device: NvmDevice::new(cfg.nvm, cfg.energy),
-            store: PersistentStore::new(),
-            stats: EngineStats::default(),
-            crash: CrashValve::detached(),
-            next_tx: 1,
+            ctl: ControllerBase::new(cfg),
             active: DetHashMap::default(),
             log: Vec::new(),
             committed: Vec::new(),
@@ -73,8 +66,7 @@ impl FixtureBase {
     }
 
     fn tx_begin(&mut self) -> TxId {
-        let id = TxId(self.next_tx);
-        self.next_tx += 1;
+        let id = self.ctl.alloc_tx();
         self.active.insert(id.0, Vec::new());
         id
     }
@@ -87,7 +79,7 @@ impl FixtureBase {
     }
 
     fn miss(&mut self, line: Line, now: Cycle) -> MissFill {
-        let out = self.device.access(
+        let out = self.ctl.device.access(
             now,
             line.base(),
             CACHE_LINE_BYTES,
@@ -95,9 +87,9 @@ impl FixtureBase {
             TrafficClass::Data,
         );
         let latency = out.latency(now);
-        self.stats.misses_served.inc();
-        self.stats.miss_memory_loads.inc();
-        self.stats.miss_service_cycles.add(latency);
+        self.ctl.stats.misses_served.inc();
+        self.ctl.stats.miss_memory_loads.inc();
+        self.ctl.stats.miss_service_cycles.add(latency);
         MissFill {
             latency,
             fill_dirty: false,
@@ -111,15 +103,15 @@ impl FixtureBase {
         if persistent {
             return;
         }
-        self.device.access(
+        self.ctl.device.access(
             now,
             line.base(),
             CACHE_LINE_BYTES,
             Op::Write,
             TrafficClass::Data,
         );
-        if self.crash.event(PersistEvent::Home, None) {
-            self.store.write_bytes(line.base(), line_data);
+        if self.ctl.crash.event(PersistEvent::Home, None) {
+            self.ctl.store.write_bytes(line.base(), line_data);
         }
     }
 
@@ -140,8 +132,8 @@ impl FixtureBase {
             }
             replayed.insert(*tx);
             written += data.len() as u64;
-            if self.crash.event(PersistEvent::Recovery, None) {
-                self.store.write_bytes(PAddr(*addr), data);
+            if self.ctl.crash.event(PersistEvent::Recovery, None) {
+                self.ctl.store.write_bytes(PAddr(*addr), data);
             }
         }
         RecoveryReport {
@@ -152,13 +144,11 @@ impl FixtureBase {
             threads,
         }
     }
-
-    fn attach_valve(&mut self, valve: CrashValve) {
-        self.store.attach_valve(valve.clone());
-        self.crash = valve;
-    }
 }
 
+/// The trait methods the fixtures share: everything but the bug. The
+/// `redo` arm adds the redo-log `drain`/`recover` of the two protocol-order
+/// fixtures.
 macro_rules! delegate_fixture_common {
     () => {
         fn properties(&self) -> EngineProperties {
@@ -168,10 +158,6 @@ macro_rules! delegate_fixture_common {
                 requires_flush_fence: false,
                 write_traffic: Level::Medium,
             }
-        }
-
-        fn init_home(&mut self, addr: PAddr, data: &[u8]) {
-            self.base.store.write_bytes(addr, data);
         }
 
         fn tx_begin(&mut self, _core: CoreId, _now: Cycle) -> TxId {
@@ -190,36 +176,20 @@ macro_rules! delegate_fixture_common {
             0
         }
 
-        fn drain(&mut self, _now: Cycle) {}
-
         fn crash(&mut self) {
             self.base.crash();
         }
+
+        engines::controller_accessors!(base.ctl);
+    };
+    (redo) => {
+        fn drain(&mut self, _now: Cycle) {}
 
         fn recover(&mut self, threads: usize) -> RecoveryReport {
             self.base.recover(threads)
         }
 
-        fn durable(&self) -> &PersistentStore {
-            &self.base.store
-        }
-
-        fn device(&self) -> &NvmDevice {
-            &self.base.device
-        }
-
-        fn stats(&self) -> &EngineStats {
-            &self.base.stats
-        }
-
-        fn attach_crash_valve(&mut self, valve: CrashValve) {
-            self.base.attach_valve(valve);
-        }
-
-        fn reset_counters(&mut self) {
-            self.base.stats = EngineStats::default();
-            self.base.device.reset_counters();
-        }
+        delegate_fixture_common!();
     };
 }
 
@@ -269,19 +239,19 @@ impl PersistenceEngine for CommitFirstEngine {
         // THE BUG: the commit record is persisted first; the payload log
         // records follow. A crash between the two durabilizes a commit
         // whose effects are gone.
-        if self.base.crash.event(PersistEvent::Commit, Some(tx)) {
+        if self.base.ctl.crash.event(PersistEvent::Commit, Some(tx)) {
             self.base.committed.push(tx.0);
         }
         for (addr, data) in writes {
-            if self.base.crash.event(PersistEvent::Payload, None) {
+            if self.base.ctl.crash.event(PersistEvent::Payload, None) {
                 self.base.log.push((tx.0, addr, data));
             }
         }
-        self.base.stats.committed_txs.inc();
+        self.base.ctl.stats.committed_txs.inc();
         CommitOutcome::default()
     }
 
-    delegate_fixture_common!();
+    delegate_fixture_common!(redo);
 }
 
 /// Broken fixture: "GC" migrates data home at store time, before commit.
@@ -325,8 +295,8 @@ impl PersistenceEngine for EagerGcEngine {
         // uncommitted value straight to its home address. A crash before
         // this transaction's commit record leaves the value visible with no
         // way to roll it back.
-        if self.base.crash.event(PersistEvent::Gc, None) {
-            self.base.store.write_bytes(addr, data);
+        if self.base.ctl.crash.event(PersistEvent::Gc, None) {
+            self.base.ctl.store.write_bytes(addr, data);
         }
         0
     }
@@ -336,18 +306,18 @@ impl PersistenceEngine for EagerGcEngine {
         // Payload-before-commit ordering is correct here; only the eager
         // home migration above is wrong.
         for (addr, data) in writes {
-            if self.base.crash.event(PersistEvent::Payload, None) {
+            if self.base.ctl.crash.event(PersistEvent::Payload, None) {
                 self.base.log.push((tx.0, addr, data));
             }
         }
-        if self.base.crash.event(PersistEvent::Commit, Some(tx)) {
+        if self.base.ctl.crash.event(PersistEvent::Commit, Some(tx)) {
             self.base.committed.push(tx.0);
         }
-        self.base.stats.committed_txs.inc();
+        self.base.ctl.stats.committed_txs.inc();
         CommitOutcome::default()
     }
 
-    delegate_fixture_common!();
+    delegate_fixture_common!(redo);
 }
 
 /// Base of the blind fixture's durable log region — far above any footprint
@@ -373,14 +343,13 @@ struct BlindRecord {
 /// payloads home and truncates the log only after every home write
 /// persisted, and crash recovery replays the committed log suffix. THE BUG
 /// is one level down: the recovery replay consumes whatever bytes
-/// [`MediaModel::read_span_checked`] returns without checking the verdict,
+/// [`ControllerBase::media_read_into`] returns without checking the verdict,
 /// so an uncorrectable log line replays deterministic garbage into the home
 /// image instead of being declared a classified loss. Fault-free it is
 /// indistinguishable from a sound engine; under a wear-faulted media
 /// schedule the oracle convicts it with `ue_data_loss` attribution.
 pub struct MediaBlindEngine {
     base: FixtureBase,
-    media: MediaModel,
     /// Durable, ECC-hardened log metadata (survives crashes; every push is
     /// gated together with its payload line).
     records: Vec<BlindRecord>,
@@ -391,14 +360,8 @@ impl MediaBlindEngine {
     /// Creates the fixture for `cfg` (the media model comes from
     /// `cfg.media`, so a disabled config yields a sound engine).
     pub fn new(cfg: &SimConfig) -> Self {
-        let mut base = FixtureBase::new(cfg);
-        let media = MediaModel::new(cfg.media);
-        if media.is_attached() {
-            base.device.enable_endurance_tracking();
-        }
         MediaBlindEngine {
-            base,
-            media,
+            base: FixtureBase::new(cfg),
             records: Vec::new(),
             next_log: 0,
         }
@@ -441,9 +404,9 @@ impl PersistenceEngine for MediaBlindEngine {
         for (addr, data) in writes {
             let log_addr = BLIND_LOG_BASE + self.next_log * CACHE_LINE_BYTES;
             self.next_log += 1;
-            if self.base.crash.event(PersistEvent::Payload, None) {
-                self.base.store.write_bytes(PAddr(log_addr), &data);
-                self.base.device.access(
+            if self.base.ctl.crash.event(PersistEvent::Payload, None) {
+                self.base.ctl.store.write_bytes(PAddr(log_addr), &data);
+                self.base.ctl.device.access(
                     now,
                     PAddr(log_addr),
                     CACHE_LINE_BYTES,
@@ -458,10 +421,10 @@ impl PersistenceEngine for MediaBlindEngine {
                 });
             }
         }
-        if self.base.crash.event(PersistEvent::Commit, Some(tx)) {
+        if self.base.ctl.crash.event(PersistEvent::Commit, Some(tx)) {
             self.base.committed.push(tx.0);
         }
-        self.base.stats.committed_txs.inc();
+        self.base.ctl.stats.committed_txs.inc();
         CommitOutcome::default()
     }
 
@@ -476,13 +439,13 @@ impl PersistenceEngine for MediaBlindEngine {
             if !committed.contains(&r.tx) {
                 continue;
             }
-            if self.base.crash.event(PersistEvent::Home, None) {
-                self.base.store.write_bytes(PAddr(r.home), &r.data);
+            if self.base.ctl.crash.event(PersistEvent::Home, None) {
+                self.base.ctl.store.write_bytes(PAddr(r.home), &r.data);
             } else {
                 all_home = false;
             }
         }
-        if all_home && self.base.crash.event(PersistEvent::Reclaim, None) {
+        if all_home && self.base.ctl.crash.event(PersistEvent::Reclaim, None) {
             self.records.retain(|r| !committed.contains(&r.tx));
         }
     }
@@ -501,17 +464,12 @@ impl PersistenceEngine for MediaBlindEngine {
             // log line `buf` now holds deterministic garbage, and it
             // replays home anyway — a sound engine would declare a
             // classified loss (`note_loss`) or re-derive the data.
-            let _ = self.media.read_span_checked(
-                &self.base.store,
-                PAddr(r.log_addr),
-                &mut buf,
-                self.base.device.endurance(),
-            );
+            let _ = self.base.ctl.media_read_into(PAddr(r.log_addr), &mut buf);
             replayed.insert(r.tx);
             scanned += CACHE_LINE_BYTES;
             written += buf.len() as u64;
-            if self.base.crash.event(PersistEvent::Recovery, None) {
-                self.base.store.write_bytes(PAddr(r.home), &buf);
+            if self.base.ctl.crash.event(PersistEvent::Recovery, None) {
+                self.base.ctl.store.write_bytes(PAddr(r.home), &buf);
             }
         }
         RecoveryReport {
@@ -523,61 +481,5 @@ impl PersistenceEngine for MediaBlindEngine {
         }
     }
 
-    fn media(&self) -> MediaModel {
-        self.media.clone()
-    }
-
-    fn properties(&self) -> EngineProperties {
-        EngineProperties {
-            read_latency: Level::Low,
-            on_critical_path: true,
-            requires_flush_fence: false,
-            write_traffic: Level::Medium,
-        }
-    }
-
-    fn init_home(&mut self, addr: PAddr, data: &[u8]) {
-        self.base.store.write_bytes(addr, data);
-    }
-
-    fn tx_begin(&mut self, _core: CoreId, _now: Cycle) -> TxId {
-        self.base.tx_begin()
-    }
-
-    fn on_llc_miss(&mut self, _core: CoreId, line: Line, now: Cycle) -> MissFill {
-        self.base.miss(line, now)
-    }
-
-    fn on_evict_dirty(&mut self, line: Line, persistent: bool, line_data: &[u8], now: Cycle) {
-        self.base.evict(line, persistent, line_data, now);
-    }
-
-    fn tick(&mut self, _now: Cycle) -> Cycle {
-        0
-    }
-
-    fn crash(&mut self) {
-        self.base.crash();
-    }
-
-    fn durable(&self) -> &PersistentStore {
-        &self.base.store
-    }
-
-    fn device(&self) -> &NvmDevice {
-        &self.base.device
-    }
-
-    fn stats(&self) -> &EngineStats {
-        &self.base.stats
-    }
-
-    fn attach_crash_valve(&mut self, valve: CrashValve) {
-        self.base.attach_valve(valve);
-    }
-
-    fn reset_counters(&mut self) {
-        self.base.stats = EngineStats::default();
-        self.base.device.reset_counters();
-    }
+    delegate_fixture_common!();
 }

@@ -7,6 +7,8 @@
 //! line home, and issuing a pipelined burst (a commit-time flush of N lines
 //! occupies the channel once and pays the device write latency once — the
 //! "two consecutive memory bursts" flavor of §III-D).
+//! [`controller_accessors!`] writes the trait methods that only read or
+//! attach to the base, once for every engine.
 
 use nvm::media::{MediaError, MediaModel, ReadHealth};
 use nvm::{NvmDevice, Op, PersistentStore, TrafficClass};
@@ -273,6 +275,64 @@ impl ControllerBase {
         self.stats = EngineStats::default();
         self.device.reset_counters();
     }
+}
+
+/// Dependency re-exports for [`controller_accessors!`]'s `$crate` paths, so
+/// an invoking crate needs no imports of its own.
+#[doc(hidden)]
+pub mod __macro_support {
+    pub use nvm::media::MediaModel;
+    pub use nvm::{NvmDevice, PersistentStore};
+    pub use simcore::crashpoint::CrashValve;
+    pub use simcore::sanitize::SanitizerHandle;
+    pub use simcore::PAddr;
+}
+
+/// Expands, inside an `impl PersistenceEngine`, to the trait methods that
+/// are plain views of the engine's [`ControllerBase`]: `init_home`,
+/// `durable`, `device`, `stats`, `media`, `enable_endurance_tracking`,
+/// `attach_sanitizer`, `attach_crash_valve` and `reset_counters`. The
+/// argument is the field path of the base (`base`, or `base.ctl` for a
+/// base nested one level down).
+#[macro_export]
+macro_rules! controller_accessors {
+    ($($base:ident).+) => {
+        fn init_home(&mut self, addr: $crate::common::__macro_support::PAddr, data: &[u8]) {
+            self.$($base).+.store.write_bytes(addr, data);
+        }
+
+        fn durable(&self) -> &$crate::common::__macro_support::PersistentStore {
+            &self.$($base).+.store
+        }
+
+        fn device(&self) -> &$crate::common::__macro_support::NvmDevice {
+            &self.$($base).+.device
+        }
+
+        fn stats(&self) -> &$crate::traits::EngineStats {
+            &self.$($base).+.stats
+        }
+
+        fn media(&self) -> $crate::common::__macro_support::MediaModel {
+            self.$($base).+.media.clone()
+        }
+
+        fn enable_endurance_tracking(&mut self) {
+            self.$($base).+.device.enable_endurance_tracking();
+        }
+
+        fn attach_sanitizer(&mut self, handle: $crate::common::__macro_support::SanitizerHandle) {
+            self.$($base).+.san = handle;
+        }
+
+        fn attach_crash_valve(&mut self, valve: $crate::common::__macro_support::CrashValve) {
+            self.$($base).+.attach_crash_valve(valve);
+        }
+
+        fn reset_counters(&mut self) {
+            self.$($base).+.reset_counters();
+        }
+    };
 }
 
 /// A 64-byte line image (the unit evictions and flushes move around).

@@ -9,7 +9,7 @@
 
 use simcore::det::DetHashMap;
 
-use nvm::{NvmDevice, Op, PersistentStore, TrafficClass};
+use nvm::{Op, TrafficClass};
 use simcore::addr::{Line, CACHE_LINE_BYTES, WORD_BYTES};
 use simcore::config::SimConfig;
 use simcore::crashpoint::PersistEvent;
@@ -21,8 +21,7 @@ use crate::costs;
 use crate::layout;
 use crate::skiplist::SkipList;
 use crate::traits::{
-    CommitOutcome, EngineProperties, EngineStats, Level, MissFill, PersistenceEngine,
-    RecoveryReport,
+    CommitOutcome, EngineProperties, Level, MissFill, PersistenceEngine, RecoveryReport,
 };
 
 /// Per-line log-entry header bytes. LSNVMM appends objects with allocator
@@ -175,10 +174,6 @@ impl PersistenceEngine for LsmEngine {
             requires_flush_fence: false,
             write_traffic: Level::Medium,
         }
-    }
-
-    fn init_home(&mut self, addr: PAddr, data: &[u8]) {
-        self.base.store.write_bytes(addr, data);
     }
 
     fn tx_begin(&mut self, _core: CoreId, _now: Cycle) -> TxId {
@@ -423,41 +418,11 @@ impl PersistenceEngine for LsmEngine {
         }
     }
 
-    fn durable(&self) -> &PersistentStore {
-        &self.base.store
-    }
-
-    fn device(&self) -> &NvmDevice {
-        &self.base.device
-    }
-
-    fn stats(&self) -> &EngineStats {
-        &self.base.stats
-    }
-
     fn extra_metrics(&self) -> Vec<(&'static str, f64)> {
         vec![("index_entries", self.index.len() as f64)]
     }
 
-    fn enable_endurance_tracking(&mut self) {
-        self.base.device.enable_endurance_tracking();
-    }
-
-    fn media(&self) -> nvm::media::MediaModel {
-        self.base.media.clone()
-    }
-
-    fn attach_sanitizer(&mut self, handle: simcore::sanitize::SanitizerHandle) {
-        self.base.san = handle;
-    }
-
-    fn attach_crash_valve(&mut self, valve: simcore::crashpoint::CrashValve) {
-        self.base.attach_crash_valve(valve);
-    }
-
-    fn reset_counters(&mut self) {
-        self.base.reset_counters();
-    }
+    crate::controller_accessors!(base);
 }
 
 #[cfg(test)]

@@ -5,45 +5,28 @@
 //! uses it as the upper bound for throughput/latency (Fig. 7) and the lower
 //! bound for write traffic (Fig. 8).
 
-use nvm::media::{MediaModel, ReadHealth};
-use nvm::{NvmDevice, Op, PersistentStore, TrafficClass};
+use nvm::{Op, TrafficClass};
 use simcore::addr::{Line, CACHE_LINE_BYTES};
 use simcore::config::SimConfig;
-use simcore::crashpoint::{CrashValve, PersistEvent};
+use simcore::crashpoint::PersistEvent;
 use simcore::{CoreId, Cycle, PAddr, TxId};
 
-use crate::common::MEDIA_RETRY_CYCLES;
+use crate::common::ControllerBase;
 use crate::traits::{
-    CommitOutcome, EngineProperties, EngineStats, Level, MissFill, PersistenceEngine,
-    RecoveryReport,
+    CommitOutcome, EngineProperties, Level, MissFill, PersistenceEngine, RecoveryReport,
 };
 
 /// The no-persistence baseline engine.
 #[derive(Debug)]
 pub struct NativeEngine {
-    device: NvmDevice,
-    store: PersistentStore,
-    stats: EngineStats,
-    crash: CrashValve,
-    media: MediaModel,
-    next_tx: u64,
+    base: ControllerBase,
 }
 
 impl NativeEngine {
     /// Creates the engine for the machine described by `cfg`.
     pub fn new(cfg: &SimConfig) -> Self {
-        let mut device = NvmDevice::new(cfg.nvm, cfg.energy);
-        let media = MediaModel::new(cfg.media);
-        if media.is_attached() {
-            device.enable_endurance_tracking();
-        }
         NativeEngine {
-            device,
-            store: PersistentStore::new(),
-            stats: EngineStats::default(),
-            crash: CrashValve::detached(),
-            media,
-            next_tx: 1,
+            base: ControllerBase::new(cfg),
         }
     }
 }
@@ -62,14 +45,8 @@ impl PersistenceEngine for NativeEngine {
         }
     }
 
-    fn init_home(&mut self, addr: PAddr, data: &[u8]) {
-        self.store.write_bytes(addr, data);
-    }
-
     fn tx_begin(&mut self, _core: CoreId, _now: Cycle) -> TxId {
-        let id = TxId(self.next_tx);
-        self.next_tx += 1;
-        id
+        self.base.alloc_tx()
     }
 
     fn on_store(
@@ -84,47 +61,30 @@ impl PersistenceEngine for NativeEngine {
     }
 
     fn on_llc_miss(&mut self, _core: CoreId, line: Line, now: Cycle) -> MissFill {
-        let out = self.device.access(
-            now,
-            line.base(),
-            CACHE_LINE_BYTES,
-            Op::Read,
-            TrafficClass::Data,
-        );
-        let mut latency = out.latency(now);
-        if self.media.is_attached() {
-            let wear = self.device.endurance().map(|e| e.writes(line)).unwrap_or(0);
-            if let ReadHealth::Corrected { retries, .. } = self.media.read_line(line, wear) {
-                latency += Cycle::from(retries) * MEDIA_RETRY_CYCLES;
-            }
-        }
-        self.stats.misses_served.inc();
-        self.stats.miss_memory_loads.inc();
-        self.stats.miss_service_cycles.add(latency);
-        MissFill {
-            latency,
-            fill_dirty: false,
-        }
+        self.base.serve_miss_from_home(line, now)
     }
 
     fn on_evict_dirty(&mut self, line: Line, _persistent: bool, line_data: &[u8], now: Cycle) {
-        self.device.access(
+        // No sanitizer event: Ideal makes no durability claim to audit.
+        self.base.device.access(
             now,
             line.base(),
             CACHE_LINE_BYTES,
             Op::Write,
             TrafficClass::Data,
         );
-        self.crash.event(PersistEvent::Home, None);
-        self.store.write_bytes(line.base(), line_data);
+        self.base.crash.event(PersistEvent::Home, None);
+        self.base.store.write_bytes(line.base(), line_data);
     }
 
     fn tx_end(&mut self, _core: CoreId, _tx: TxId, _now: Cycle) -> CommitOutcome {
-        self.stats.committed_txs.inc();
+        self.base.stats.committed_txs.inc();
         CommitOutcome::default()
     }
 
     fn tick(&mut self, _now: Cycle) -> Cycle {
+        // No patrol scrub (`media_tick`): the native system has no
+        // controller-side media maintenance.
         0
     }
 
@@ -142,35 +102,7 @@ impl PersistenceEngine for NativeEngine {
         }
     }
 
-    fn durable(&self) -> &PersistentStore {
-        &self.store
-    }
-
-    fn device(&self) -> &NvmDevice {
-        &self.device
-    }
-
-    fn stats(&self) -> &EngineStats {
-        &self.stats
-    }
-
-    fn enable_endurance_tracking(&mut self) {
-        self.device.enable_endurance_tracking();
-    }
-
-    fn media(&self) -> MediaModel {
-        self.media.clone()
-    }
-
-    fn attach_crash_valve(&mut self, valve: CrashValve) {
-        self.store.attach_valve(valve.clone());
-        self.crash = valve;
-    }
-
-    fn reset_counters(&mut self) {
-        self.stats = EngineStats::default();
-        self.device.reset_counters();
-    }
+    crate::controller_accessors!(base);
 }
 
 #[cfg(test)]
@@ -204,5 +136,26 @@ mod tests {
         let a = e.tx_begin(CoreId(0), 0);
         let b = e.tx_begin(CoreId(1), 0);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn uncorrectable_miss_pays_the_retry_ladder() {
+        use crate::common::MEDIA_RETRY_CYCLES;
+        use simcore::config::MediaConfig;
+        // A harsh schedule makes every written line read back
+        // uncorrectable; the demand miss must charge the full ladder, like
+        // every other engine's home-region miss.
+        let miss_after_evict = |cfg: &SimConfig| {
+            let mut e = NativeEngine::new(cfg);
+            e.on_evict_dirty(Line(3), false, &[1u8; 64], 0);
+            e.on_llc_miss(CoreId(0), Line(3), 10_000).latency
+        };
+        let clean = miss_after_evict(&SimConfig::small_for_tests());
+        let mut cfg = SimConfig::small_for_tests();
+        cfg.media = MediaConfig {
+            max_retries: 3,
+            ..MediaConfig::harsh(7)
+        };
+        assert_eq!(miss_after_evict(&cfg), clean + 3 * MEDIA_RETRY_CYCLES);
     }
 }

@@ -138,6 +138,12 @@ impl EngineStats {
 
 /// The memory controller's crash-consistency mechanism.
 ///
+/// Engines keep their device, durable store, counters and hooks in a
+/// [`ControllerBase`](crate::common::ControllerBase) and get the accessor
+/// half of this trait (`init_home`, `durable`, `device`, `stats`, `media`,
+/// `enable_endurance_tracking`, `attach_sanitizer`, `attach_crash_valve`,
+/// `reset_counters`) from [`controller_accessors!`](crate::controller_accessors).
+///
 /// Implementations must be functional: after any prefix of events followed
 /// by [`crash`](PersistenceEngine::crash) and
 /// [`recover`](PersistenceEngine::recover), the
@@ -218,31 +224,20 @@ pub trait PersistenceEngine: Send {
 
     /// Enables per-line endurance tracking on the engine's NVM device
     /// (lifetime studies; off by default).
-    fn enable_endurance_tracking(&mut self) {}
+    fn enable_endurance_tracking(&mut self);
 
-    /// The engine's media-fault model handle (shared state — clones alias).
-    /// Engines built on `ControllerBase` return its model; the default is a
-    /// detached handle, meaning the engine models a perfect medium.
-    fn media(&self) -> MediaModel {
-        MediaModel::detached()
-    }
+    /// The engine's media-fault model handle (shared state — clones alias;
+    /// detached unless the configuration enabled faults).
+    fn media(&self) -> MediaModel;
 
-    /// Attaches a persistency sanitizer. Engines that support auditing
-    /// store the handle (usually in their `ControllerBase`) and report
-    /// durability events through it; the default drops the handle, so the
-    /// sanitizer simply sees no engine-side events.
-    fn attach_sanitizer(&mut self, handle: SanitizerHandle) {
-        let _ = handle;
-    }
+    /// Attaches a persistency sanitizer; the engine reports its durability
+    /// events (persists, home writes, commit records) through the handle.
+    fn attach_sanitizer(&mut self, handle: SanitizerHandle);
 
-    /// Attaches a crash-point valve for fault injection. Engines that
-    /// support deterministic crash testing store the valve (usually in
-    /// their `ControllerBase`, also forwarding it to their durable store)
-    /// and tick it on every persist-ordering event; the default drops the
-    /// valve, so crash injection simply sees no events.
-    fn attach_crash_valve(&mut self, valve: CrashValve) {
-        let _ = valve;
-    }
+    /// Attaches a crash-point valve for fault injection; the engine ticks
+    /// it on every persist-ordering event and forwards it to its durable
+    /// store.
+    fn attach_crash_valve(&mut self, valve: CrashValve);
 
     /// Resets statistics and device counters (e.g. after warmup).
     fn reset_counters(&mut self);

@@ -10,7 +10,7 @@
 
 use simcore::det::DetHashMap;
 
-use nvm::{NvmDevice, PersistentStore, TrafficClass};
+use nvm::TrafficClass;
 use simcore::addr::{lines_covering, Line, CACHE_LINE_BYTES};
 use simcore::config::SimConfig;
 use simcore::crashpoint::PersistEvent;
@@ -21,8 +21,7 @@ use crate::common::{read_line_image, to_line_image, ControllerBase, LineImage};
 use crate::costs;
 use crate::layout;
 use crate::traits::{
-    CommitOutcome, EngineProperties, EngineStats, Level, MissFill, PersistenceEngine,
-    RecoveryReport,
+    CommitOutcome, EngineProperties, Level, MissFill, PersistenceEngine, RecoveryReport,
 };
 
 /// Bytes of one undo log record on media: the 64-byte old image plus ATOM's
@@ -98,10 +97,6 @@ impl PersistenceEngine for OptUndoEngine {
             requires_flush_fence: false,
             write_traffic: Level::Medium,
         }
-    }
-
-    fn init_home(&mut self, addr: PAddr, data: &[u8]) {
-        self.base.store.write_bytes(addr, data);
     }
 
     fn tx_begin(&mut self, _core: CoreId, _now: Cycle) -> TxId {
@@ -286,37 +281,7 @@ impl PersistenceEngine for OptUndoEngine {
         }
     }
 
-    fn durable(&self) -> &PersistentStore {
-        &self.base.store
-    }
-
-    fn device(&self) -> &NvmDevice {
-        &self.base.device
-    }
-
-    fn stats(&self) -> &EngineStats {
-        &self.base.stats
-    }
-
-    fn enable_endurance_tracking(&mut self) {
-        self.base.device.enable_endurance_tracking();
-    }
-
-    fn media(&self) -> nvm::media::MediaModel {
-        self.base.media.clone()
-    }
-
-    fn attach_sanitizer(&mut self, handle: simcore::sanitize::SanitizerHandle) {
-        self.base.san = handle;
-    }
-
-    fn attach_crash_valve(&mut self, valve: simcore::crashpoint::CrashValve) {
-        self.base.attach_crash_valve(valve);
-    }
-
-    fn reset_counters(&mut self) {
-        self.base.reset_counters();
-    }
+    crate::controller_accessors!(base);
 }
 
 #[cfg(test)]

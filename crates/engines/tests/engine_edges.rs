@@ -129,19 +129,6 @@ fn lad_tick_and_drain_are_free() {
 }
 
 #[test]
-fn reset_counters_preserves_durable_state() {
-    let mut e = OptRedoEngine::new(&cfg());
-    let tx = e.tx_begin(CoreId(0), 0);
-    e.on_store(CoreId(0), tx, PAddr(0), &9u64.to_le_bytes(), 0);
-    e.tx_end(CoreId(0), tx, 10);
-    e.reset_counters();
-    assert_eq!(e.device().traffic().total_written(), 0, "counters reset");
-    e.crash();
-    e.recover(1);
-    assert_eq!(e.durable().read_u64(PAddr(0)), 9, "durable log untouched");
-}
-
-#[test]
 fn system_clock_monotonicity_and_isolation() {
     let cfg = cfg();
     let mut sys = System::new(Box::new(OptUndoEngine::new(&cfg)), &cfg);

@@ -17,10 +17,9 @@ use engines::common::ControllerBase;
 use engines::costs;
 use engines::layout;
 use engines::traits::{
-    CommitOutcome, EngineProperties, EngineStats, Level, MissFill, PersistenceEngine,
-    RecoveryReport,
+    CommitOutcome, EngineProperties, Level, MissFill, PersistenceEngine, RecoveryReport,
 };
-use nvm::{NvmDevice, Op, PersistentStore, TrafficClass};
+use nvm::{Op, TrafficClass};
 use simcore::addr::{Line, CACHE_LINE_BYTES, WORD_BYTES};
 use simcore::config::{HoopConfig, SimConfig};
 use simcore::crashpoint::PersistEvent;
@@ -345,10 +344,6 @@ impl PersistenceEngine for HoopEngine {
         }
     }
 
-    fn init_home(&mut self, addr: PAddr, data: &[u8]) {
-        self.base.store.write_bytes(addr, data);
-    }
-
     fn tx_begin(&mut self, core: CoreId, _now: Cycle) -> TxId {
         let tx = self.base.alloc_tx();
         let c = &mut self.cores[core.index()];
@@ -595,18 +590,6 @@ impl PersistenceEngine for HoopEngine {
         self.run_recovery(threads)
     }
 
-    fn durable(&self) -> &PersistentStore {
-        &self.base.store
-    }
-
-    fn device(&self) -> &NvmDevice {
-        &self.base.device
-    }
-
-    fn stats(&self) -> &EngineStats {
-        &self.base.stats
-    }
-
     fn extra_metrics(&self) -> Vec<(&'static str, f64)> {
         vec![
             ("mapping_entries", self.mapping.len() as f64),
@@ -616,25 +599,7 @@ impl PersistenceEngine for HoopEngine {
         ]
     }
 
-    fn enable_endurance_tracking(&mut self) {
-        self.base.device.enable_endurance_tracking();
-    }
-
-    fn media(&self) -> nvm::media::MediaModel {
-        self.base.media.clone()
-    }
-
-    fn attach_sanitizer(&mut self, handle: simcore::sanitize::SanitizerHandle) {
-        self.base.san = handle;
-    }
-
-    fn attach_crash_valve(&mut self, valve: simcore::crashpoint::CrashValve) {
-        self.base.attach_crash_valve(valve);
-    }
-
-    fn reset_counters(&mut self) {
-        self.base.reset_counters();
-    }
+    engines::controller_accessors!(base);
 }
 
 #[cfg(test)]

@@ -190,7 +190,7 @@ pub fn replay_cell(
 mod tests {
     use super::*;
     use crate::record::{default_txs_per_core, record_workload, RecordOptions};
-    use workloads::driver::{Driver, ENGINES};
+    use workloads::driver::{engine_names, Driver};
     use workloads::spec::{WorkloadKind, WorkloadSpec};
 
     fn quick_spec(kind: WorkloadKind) -> WorkloadSpec {
@@ -223,7 +223,7 @@ mod tests {
                 },
             )
             .expect("record");
-            for engine in ENGINES.into_iter().chain(["HOOP-MC2", "HOOP-MC4"]) {
+            for engine in engine_names() {
                 let mut sys = build_system(engine, &cfg);
                 let mut driver = Driver::new(spec, &cfg);
                 driver.setup(&mut sys);

@@ -259,6 +259,12 @@ pub fn build_system(engine_name: &str, cfg: &SimConfig) -> System {
 /// Engine names in the paper's presentation order.
 pub const ENGINES: [&str; 7] = ["Opt-Redo", "Opt-Undo", "OSP", "LSM", "LAD", "HOOP", "Ideal"];
 
+/// Every name [`build_system`] accepts: [`ENGINES`], then the
+/// multi-controller HOOP variants (§III-I) outside the paper's grid.
+pub fn engine_names() -> impl Iterator<Item = &'static str> {
+    ENGINES.into_iter().chain(["HOOP-MC2", "HOOP-MC4"])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

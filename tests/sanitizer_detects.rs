@@ -16,14 +16,12 @@ use std::sync::{Arc, Mutex};
 use engines::common::ControllerBase;
 use engines::system::System;
 use engines::traits::{
-    CommitOutcome, EngineProperties, EngineStats, Level, MissFill, PersistenceEngine,
-    RecoveryReport,
+    CommitOutcome, EngineProperties, Level, MissFill, PersistenceEngine, RecoveryReport,
 };
 use hoop_repro::prelude::*;
-use nvm::{NvmDevice, PersistentStore, TrafficClass};
+use nvm::TrafficClass;
 use pmcheck::{PersistencySanitizer, SanitizerSummary, ViolationKind};
 use simcore::addr::Line;
-use simcore::sanitize::SanitizerHandle;
 use simcore::Cycle;
 use workloads::driver::Driver;
 
@@ -116,10 +114,6 @@ impl PersistenceEngine for BrokenEngine {
             requires_flush_fence: true,
             write_traffic: Level::Low,
         }
-    }
-
-    fn init_home(&mut self, addr: PAddr, data: &[u8]) {
-        self.base.store.write_bytes(addr, data);
     }
 
     fn tx_begin(&mut self, _core: CoreId, _now: Cycle) -> TxId {
@@ -220,25 +214,7 @@ impl PersistenceEngine for BrokenEngine {
         }
     }
 
-    fn durable(&self) -> &PersistentStore {
-        &self.base.store
-    }
-
-    fn device(&self) -> &NvmDevice {
-        &self.base.device
-    }
-
-    fn stats(&self) -> &EngineStats {
-        &self.base.stats
-    }
-
-    fn attach_sanitizer(&mut self, handle: SanitizerHandle) {
-        self.base.san = handle;
-    }
-
-    fn reset_counters(&mut self) {
-        self.base.reset_counters();
-    }
+    engines::controller_accessors!(base);
 }
 
 /// Drives one transaction (two stores on distinct lines) through a `System`
