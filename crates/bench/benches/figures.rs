@@ -8,10 +8,10 @@ use engines::PersistenceEngine as _;
 use hoop::engine::HoopEngine;
 use hoop::recovery::model_recovery_ms;
 use hoop_bench::experiments::{spec_for, Scale, MATRIX, TPCC};
-use hoop_bench::runner::{run_cell, RunnerOptions};
+use hoop_bench::runner::{fixed_window, run_cell, Cell, RunnerOptions};
 use simcore::config::SimConfig;
 use simcore::{CoreId, PAddr};
-use workloads::driver::{build_system, Driver};
+use workloads::WorkloadSpec;
 
 /// Fig. 7/8/9 path: one engine × workload cell at quick scale.
 fn fig7_cells(c: &mut Criterion) {
@@ -21,7 +21,8 @@ fn fig7_cells(c: &mut Criterion) {
     group.sample_size(10);
     for engine in ["HOOP", "Opt-Redo", "LAD"] {
         group.bench_function(engine, |b| {
-            b.iter(|| black_box(run_cell(engine, MATRIX[2], &sim, &opts)))
+            let cell = Cell::grid(engine, MATRIX[2], Scale::Quick, &sim);
+            b.iter(|| black_box(run_cell(&cell, &opts)))
         });
     }
     group.finish();
@@ -29,16 +30,18 @@ fn fig7_cells(c: &mut Criterion) {
 
 /// Table IV path: GC reduction measurement.
 fn table4_path(c: &mut Criterion) {
-    let sim = SimConfig::default();
+    let opts = RunnerOptions::live(Scale::Quick, 1);
+    let spec = WorkloadSpec {
+        items: 256,
+        ..spec_for(MATRIX[0], Scale::Quick)
+    };
+    let cell = Cell {
+        spec,
+        window: fixed_window(0, 100),
+        ..Cell::grid("HOOP", MATRIX[0], Scale::Quick, &SimConfig::default())
+    };
     c.bench_function("table4_gc_reduction", |b| {
-        b.iter(|| {
-            let mut spec = spec_for(MATRIX[0], Scale::Quick);
-            spec.items = 256;
-            let mut sys = build_system("HOOP", &sim);
-            let mut driver = Driver::new(spec, &sim);
-            driver.setup(&mut sys);
-            black_box(driver.run(&mut sys, 0, 100).gc_reduction)
-        })
+        b.iter(|| black_box(run_cell(&cell, &opts).report.gc_reduction))
     });
 }
 
@@ -89,22 +92,19 @@ fn fig11_recovery(c: &mut Criterion) {
 /// Fig. 12/13 paths: latency / mapping-table sweeps at quick scale.
 fn fig12_fig13_sweeps(c: &mut Criterion) {
     let opts = RunnerOptions::live(Scale::Quick, 1);
+    let (mut slow_read, mut small_map) = (SimConfig::default(), SimConfig::default());
+    slow_read.nvm.read_ns = 150.0;
+    small_map.hoop.mapping_table_bytes = 128 * 1024;
     let mut group = c.benchmark_group("sweeps");
     group.sample_size(10);
-    group.bench_function("fig12_read_latency_point", |b| {
-        let mut cfg = SimConfig::default();
-        cfg.nvm.read_ns = 150.0;
-        b.iter(|| black_box(run_cell("HOOP", MATRIX[10], &cfg, &opts)))
-    });
-    group.bench_function("fig13_small_mapping_point", |b| {
-        let mut cfg = SimConfig::default();
-        cfg.hoop.mapping_table_bytes = 128 * 1024;
-        b.iter(|| black_box(run_cell("HOOP", MATRIX[10], &cfg, &opts)))
-    });
-    group.bench_function("tpcc_cell", |b| {
-        let cfg = SimConfig::default();
-        b.iter(|| black_box(run_cell("HOOP", TPCC, &cfg, &opts)))
-    });
+    for (name, wcfg, sim) in [
+        ("fig12_read_latency_point", MATRIX[10], slow_read),
+        ("fig13_small_mapping_point", MATRIX[10], small_map),
+        ("tpcc_cell", TPCC, SimConfig::default()),
+    ] {
+        let cell = Cell::grid("HOOP", wcfg, Scale::Quick, &sim);
+        group.bench_function(name, |b| b.iter(|| black_box(run_cell(&cell, &opts))));
+    }
     group.finish();
 }
 

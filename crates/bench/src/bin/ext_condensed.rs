@@ -11,7 +11,7 @@ use engines::trace::TraceEvent;
 use hoop::condensed::CondensedMappingTable;
 use hoop::mapping::MappingTable;
 use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX, TPCC};
-use hoop_bench::runner::RunnerOptions;
+use hoop_bench::runner::{RunnerOptions, SCALE_FLAGS};
 use simcore::addr::Line;
 use simcore::config::SimConfig;
 use simcore::CoreId;
@@ -19,7 +19,7 @@ use workloads::driver::{build_system, build_workload};
 
 fn main() {
     let sim = SimConfig::default();
-    let scale = RunnerOptions::from_args(&[]).0.scale;
+    let scale = RunnerOptions::from_args(SCALE_FLAGS, &[]).0.scale;
     let configs = [
         MATRIX[0], MATRIX[2], MATRIX[4], MATRIX[6], MATRIX[8], MATRIX[10], TPCC,
     ];

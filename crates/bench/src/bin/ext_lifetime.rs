@@ -9,20 +9,36 @@
 //! would be needed to flatten each engine's skew.
 
 use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX};
-use hoop_bench::runner::RunnerOptions;
+use hoop_bench::runner::{
+    fixed_window, Cell, CellResult, ExperimentPlan, RunnerOptions, LIVE_GRID_FLAGS,
+};
 use nvm::wearlevel::GAP_MOVE_RATE;
 use simcore::config::SimConfig;
-use workloads::driver::{build_system, Driver, ENGINES};
+use workloads::driver::ENGINES;
 
 fn main() {
     let sim = SimConfig::default();
-    let scale = RunnerOptions::from_args(&[]).0.scale;
+    let (mut opts, _) = RunnerOptions::from_args(LIVE_GRID_FLAGS, &[]);
+    // The figure is the wear summary: tracking is always on.
+    opts.endurance = true;
+    let scale = opts.scale;
     let wcfg = MATRIX[2]; // hashmap-64B: the paper's canonical fine-grained updater
-    let spec = spec_for(wcfg, scale);
     let txs = match scale {
         Scale::Quick => 2_000,
         Scale::Full => 40_000,
     };
+    let cells = ENGINES
+        .map(|engine| Cell {
+            engine,
+            workload: wcfg.label,
+            spec: spec_for(wcfg, scale),
+            window: fixed_window(200, txs),
+            trace: format!("ext_lifetime-{}", wcfg.label),
+            sim,
+        })
+        .to_vec();
+    let results = ExperimentPlan::new("ext_lifetime", cells).run(&opts);
+    let wear = |cell: &CellResult| cell.endurance.clone().expect("endurance tracked");
 
     println!(
         "== Extension: NVM lifetime ({} / {} txs) ==",
@@ -32,45 +48,23 @@ fn main() {
         "{:<10}{:>14}{:>12}{:>10}{:>16}",
         "engine", "line writes", "hottest", "skew", "lifetime vs HOOP"
     );
-    let mut results = Vec::new();
-    for engine in ENGINES {
-        let mut sys = build_system(engine, &sim);
-        sys.enable_endurance_tracking();
-        let mut driver = Driver::new(spec, &sim);
-        driver.setup(&mut sys);
-        let r = driver.run(&mut sys, 200, txs);
-        assert_eq!(r.verify_errors, 0);
-        let e = sys
-            .engine()
-            .device()
-            .endurance()
-            .expect("tracking enabled")
-            .clone();
-        results.push((engine, e));
-    }
     let hoop_max = results
         .iter()
-        .find(|(n, _)| *n == "HOOP")
+        .find(|c| c.engine == "HOOP")
+        .map(wear)
         .expect("HOOP ran")
-        .1
-        .max_writes() as f64;
+        .max_line_writes as f64;
     let mut rows = Vec::new();
-    for (engine, e) in &results {
-        let lifetime = hoop_max / e.max_writes().max(1) as f64;
+    for cell in &results {
+        let e = wear(cell);
+        let lifetime = hoop_max / e.max_line_writes.max(1) as f64;
         println!(
             "{:<10}{:>14}{:>12}{:>10.2}{:>16.2}",
-            engine,
-            e.total_writes(),
-            e.max_writes(),
-            e.skew(),
-            lifetime
+            cell.engine, e.total_line_writes, e.max_line_writes, e.skew, lifetime
         );
         rows.push(format!(
-            "{engine},{},{},{:.4},{:.4}",
-            e.total_writes(),
-            e.max_writes(),
-            e.skew(),
-            lifetime
+            "{},{},{},{:.4},{:.4}",
+            cell.engine, e.total_line_writes, e.max_line_writes, e.skew, lifetime
         ));
     }
     write_csv(

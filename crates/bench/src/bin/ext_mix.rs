@@ -6,13 +6,15 @@
 //! shape-reproduction cares about.
 
 use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX};
-use hoop_bench::runner::RunnerOptions;
+use hoop_bench::runner::{fixed_window, Cell, ExperimentPlan, RunnerOptions, CSV_GRID_FLAGS};
 use simcore::config::SimConfig;
-use workloads::driver::{build_system, Driver, ENGINES};
+use workloads::driver::ENGINES;
 
 fn main() {
     let sim = SimConfig::default();
-    let scale = RunnerOptions::from_args(&[]).0.scale;
+    let (opts, _) = RunnerOptions::from_args(CSV_GRID_FLAGS, &[]);
+    let scale = opts.scale;
+    let wcfg = MATRIX[10]; // ycsb-512B
     let fractions: &[f64] = match scale {
         Scale::Quick => &[0.2, 0.8],
         Scale::Full => &[0.0, 0.2, 0.5, 0.8, 0.95],
@@ -21,6 +23,26 @@ fn main() {
         Scale::Quick => 2_000,
         Scale::Full => 30_000,
     };
+    let cells = fractions
+        .iter()
+        .flat_map(|&f| {
+            let spec = workloads::WorkloadSpec {
+                update_fraction: f,
+                ..spec_for(wcfg, scale)
+            };
+            // Each mix is its own workload, so its own trace.
+            let trace = format!("ext_mix-{}-u{f}", wcfg.label);
+            ENGINES.map(|engine| Cell {
+                engine,
+                workload: wcfg.label,
+                spec,
+                window: fixed_window(txs / 10, txs),
+                trace: trace.clone(),
+                sim,
+            })
+        })
+        .collect();
+    let results = ExperimentPlan::new("ext_mix", cells).run(&opts);
 
     println!("== Extension: YCSB update-fraction sweep (tx/ms) ==");
     print!("{:<10}", "upd_frac");
@@ -29,19 +51,13 @@ fn main() {
     }
     println!();
     let mut rows = Vec::new();
-    for &f in fractions {
+    for (f, row_cells) in fractions.iter().zip(results.chunks(ENGINES.len())) {
         print!("{f:<10}");
         let mut row = format!("{f}");
-        for engine in ENGINES {
-            let mut spec = spec_for(MATRIX[10], scale);
-            spec.update_fraction = f;
-            let mut sys = build_system(engine, &sim);
-            let mut driver = Driver::new(spec, &sim);
-            driver.setup(&mut sys);
-            let r = driver.run(&mut sys, txs / 10, txs);
-            assert_eq!(r.verify_errors, 0);
-            print!("{:>11.1}", r.throughput_tx_per_ms);
-            row += &format!(",{:.3}", r.throughput_tx_per_ms);
+        for cell in row_cells {
+            let thr = cell.report.throughput_tx_per_ms;
+            print!("{thr:>11.1}");
+            row += &format!(",{thr:.3}");
         }
         println!();
         rows.push(row);

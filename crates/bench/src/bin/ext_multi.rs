@@ -6,14 +6,19 @@
 //! but does not evaluate it — this harness fills that gap.
 
 use hoop_bench::experiments::{write_csv, MATRIX, TPCC};
-use hoop_bench::runner::{run_cell, RunnerOptions};
+use hoop_bench::runner::{Cell, ExperimentPlan, RunnerOptions, CSV_GRID_FLAGS};
 use simcore::config::SimConfig;
 
 fn main() {
     let sim = SimConfig::default();
-    let (opts, _) = RunnerOptions::from_args(&[]);
+    let (opts, _) = RunnerOptions::from_args(CSV_GRID_FLAGS, &[]);
     let engines = ["HOOP", "HOOP-MC2", "HOOP-MC4"];
     let configs = [MATRIX[0], MATRIX[2], MATRIX[10], TPCC];
+    let cells = configs
+        .into_iter()
+        .flat_map(|wcfg| engines.map(|engine| Cell::grid(engine, wcfg, opts.scale, &sim)))
+        .collect();
+    let results = ExperimentPlan::new("ext_multi", cells).run(&opts);
 
     println!("== Extension: multi-controller HOOP (2PC) ==");
     print!("{:<12}", "workload");
@@ -22,12 +27,11 @@ fn main() {
     }
     println!("   (tx/ms, cycles)");
     let mut rows = Vec::new();
-    for wcfg in configs {
+    for (wcfg, row_cells) in configs.iter().zip(results.chunks(engines.len())) {
         print!("{:<12}", wcfg.label);
         let mut row = wcfg.label.to_string();
-        for engine in engines {
-            let r = run_cell(engine, wcfg, &sim, &opts).report;
-            assert_eq!(r.verify_errors, 0, "{engine}/{} corrupted", wcfg.label);
+        for cell in row_cells {
+            let r = &cell.report;
             print!("{:>14.1}{:>12.0}", r.throughput_tx_per_ms, r.avg_tx_latency);
             row += &format!(",{:.3},{:.1}", r.throughput_tx_per_ms, r.avg_tx_latency);
         }

@@ -11,7 +11,7 @@
 //! reserve (10 % of NVM) has to its workload footprint; see EXPERIMENTS.md.
 
 use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX};
-use hoop_bench::runner::{min_cycles_for, run_cell, RunnerOptions};
+use hoop_bench::runner::{min_cycles_for, Cell, ExperimentPlan, RunnerOptions, CSV_GRID_FLAGS};
 use simcore::config::SimConfig;
 use workloads::driver::{build_system, Driver};
 
@@ -38,7 +38,7 @@ fn probe_oop_rate(wcfg: hoop_bench::WorkloadConfig, sim: &SimConfig, scale: Scal
 
 fn main() {
     let sim = SimConfig::default();
-    let (opts, _) = RunnerOptions::from_args(&[]);
+    let (opts, _) = RunnerOptions::from_args(CSV_GRID_FLAGS, &[]);
     let scale = opts.scale;
     let configs = [MATRIX[0], MATRIX[2], MATRIX[4], MATRIX[6], MATRIX[8]];
     let periods: &[f64] = match scale {
@@ -46,26 +46,16 @@ fn main() {
         Scale::Full => &[2.0, 4.0, 6.0, 8.0, 10.0, 11.0, 12.0, 14.0],
     };
 
-    println!("== Fig 10: throughput (tx/ms) vs GC period ==");
-    print!("{:<10}", "period_ms");
-    for c in configs {
-        print!("{:>13}", c.label);
-    }
-    println!();
-
-    let mut rows = Vec::new();
     // Size the reserve per workload for ~11 ms of slice production (probed
-    // once per workload at quick scale).
+    // once per workload at the run's scale).
     let budget_ms = 11.5;
     let rates: Vec<f64> = configs
         .iter()
         .map(|w| probe_oop_rate(*w, &sim, scale))
         .collect();
+    let mut cells = Vec::new();
     for &period in periods {
-        print!("{period:<10}");
-        let mut row = format!("{period}");
-        for (wi, wcfg) in configs.into_iter().enumerate() {
-            let rate = rates[wi];
+        for (wcfg, rate) in configs.into_iter().zip(&rates) {
             let mut cfg = sim;
             cfg.hoop.gc_period_ms = period;
             let reserve = (rate * simcore::time::ms_to_cycles(budget_ms) as f64) as u64;
@@ -75,9 +65,25 @@ fn main() {
             cfg.hoop.oop_region_bytes = reserve.div_ceil(block).max(8) * block;
             // The mapping table must not be the trigger in this sweep.
             cfg.hoop.mapping_table_bytes = 8 * 1024 * 1024;
-            let r = run_cell("HOOP", wcfg, &cfg, &opts).report;
-            print!("{:>13.1}", r.throughput_tx_per_ms);
-            row += &format!(",{:.3}", r.throughput_tx_per_ms);
+            cells.push(Cell::grid("HOOP", wcfg, scale, &cfg));
+        }
+    }
+    let results = ExperimentPlan::new("fig10", cells).run(&opts);
+
+    println!("== Fig 10: throughput (tx/ms) vs GC period ==");
+    print!("{:<10}", "period_ms");
+    for c in configs {
+        print!("{:>13}", c.label);
+    }
+    println!();
+    let mut rows = Vec::new();
+    for (&period, row_cells) in periods.iter().zip(results.chunks(configs.len())) {
+        print!("{period:<10}");
+        let mut row = format!("{period}");
+        for cell in row_cells {
+            let thr = cell.report.throughput_tx_per_ms;
+            print!("{thr:>13.1}");
+            row += &format!(",{thr:.3}");
         }
         println!();
         rows.push(row);

@@ -9,12 +9,12 @@
 //! presses on 512 KB-2 MB tables (see EXPERIMENTS.md).
 
 use hoop_bench::experiments::{write_csv, Scale, WorkloadConfig};
-use hoop_bench::runner::{run_cell, RunnerOptions};
+use hoop_bench::runner::{Cell, ExperimentPlan, RunnerOptions, CSV_GRID_FLAGS};
 use simcore::config::SimConfig;
 use workloads::WorkloadKind;
 
 fn main() {
-    let (opts, _) = RunnerOptions::from_args(&[]);
+    let (opts, _) = RunnerOptions::from_args(CSV_GRID_FLAGS, &[]);
     let scale = opts.scale;
     let ycsb = WorkloadConfig {
         label: "ycsb-1KB",
@@ -25,13 +25,20 @@ fn main() {
         Scale::Quick => &[64, 256, 2048],
         Scale::Full => &[128, 256, 512, 1024, 2048, 4096, 8192],
     };
+    let cells = sizes_kb
+        .iter()
+        .map(|&kb| {
+            let mut cfg = SimConfig::default();
+            cfg.hoop.mapping_table_bytes = kb * 1024;
+            Cell::grid("HOOP", ycsb, scale, &cfg)
+        })
+        .collect();
+    let results = ExperimentPlan::new("fig13", cells).run(&opts);
 
     println!("== Fig 13: YCSB-1KB throughput vs mapping-table size ==");
     let mut rows = Vec::new();
-    for &kb in sizes_kb {
-        let mut cfg = SimConfig::default();
-        cfg.hoop.mapping_table_bytes = kb * 1024;
-        let r = run_cell("HOOP", ycsb, &cfg, &opts).report;
+    for (kb, cell) in sizes_kb.iter().zip(&results) {
+        let r = &cell.report;
         println!(
             "  {kb:>5} KB: {:>9.1} tx/ms  (on-demand GC stalls: {} kcycles)",
             r.throughput_tx_per_ms,

@@ -9,16 +9,14 @@
 //! exports `results/fig8.json` alongside the CSV.
 
 use hoop_bench::experiments::{geomean_ratio, print_normalized, write_csv};
-use hoop_bench::runner::ExperimentPlan;
+use hoop_bench::runner::{ExperimentPlan, GRID_FLAGS};
 use hoop_bench::RunnerOptions;
 use simcore::config::SimConfig;
 use workloads::driver::ENGINES;
 
 fn main() {
-    let (opts, _) = RunnerOptions::from_args(&[]);
-    let mut sim = SimConfig::default();
-    opts.apply_to_sim(&mut sim);
-    let plan = ExperimentPlan::matrix("fig8", sim);
+    let (opts, _) = RunnerOptions::from_args(GRID_FLAGS, &[]);
+    let plan = ExperimentPlan::matrix("fig8", opts.scale, &SimConfig::default());
     let cells = plan.run_and_export(&opts);
     let reports: Vec<_> = cells.into_iter().map(|c| c.report).collect();
 

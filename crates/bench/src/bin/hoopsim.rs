@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! hoopsim run      --engine HOOP --workload ycsb --txs 20000 [--item-bytes 1024] [--sanitize] [--shards N]
-//! hoopsim compare  --workload hashmap [--txs 10000] [--shards N]
+//! hoopsim compare  --workload hashmap [--txs 10000] [--sanitize] [--shards N]
 //! hoopsim recover  [--threads 8] [--bandwidth 25]
 //! hoopsim trace    --workload vector --txs 200 --out vector.trace [--seed N]
 //! hoopsim replay   --engine LAD --in vector.trace [--txs N] [--sanitize] [--shards N]
@@ -25,14 +25,15 @@ use std::path::Path;
 
 use hoop::area::{area_overhead, ReferencePackage};
 use hoop::recovery::model_recovery_ms;
-use hoop_bench::runner::{parse_value, split_flags, usage_error};
+use hoop_bench::experiments::Scale;
+use hoop_bench::runner::{
+    default_jobs, fixed_window, parse_positive, parse_value, run_cell, split_flags, trace_depth,
+    usage_error, Cell, ExperimentPlan, RunnerOptions,
+};
 use simcore::config::SimConfig;
 use simcore::det::DetHashMap;
-use trace::{
-    default_txs_per_core, record_workload, replay_cell, RecordOptions, ReplayWindow, TraceHeader,
-    TraceReader,
-};
-use workloads::driver::{build_system, engine_names, Driver, RunReport, ENGINES};
+use trace::{record_workload, replay_cell, RecordOptions, TraceHeader, TraceReader};
+use workloads::driver::{engine_names, RunReport, ENGINES};
 use workloads::{WorkloadKind, WorkloadSpec};
 
 /// The flags every command accepts (each command reads the ones it needs).
@@ -70,39 +71,40 @@ fn opt<T: std::str::FromStr>(opts: &DetHashMap<String, String>, key: &str) -> Op
         .map(|v| parse_value(&format!("--{key}"), v).unwrap_or_else(|e| usage_error(&e)))
 }
 
-fn kind_of(name: &str) -> WorkloadKind {
-    match name {
-        "vector" => WorkloadKind::Vector,
-        "hashmap" => WorkloadKind::Hashmap,
-        "queue" => WorkloadKind::Queue,
-        "rbtree" => WorkloadKind::RbTree,
-        "btree" => WorkloadKind::BTree,
-        "ycsb" => WorkloadKind::Ycsb,
-        "tpcc" => WorkloadKind::Tpcc,
-        other => usage_error(&format!("unknown workload '{other}' (see `hoopsim list`)")),
-    }
-}
+/// The `--workload` names, which are also the report labels.
+const WORKLOADS: [(&str, WorkloadKind); 7] = [
+    ("vector", WorkloadKind::Vector),
+    ("hashmap", WorkloadKind::Hashmap),
+    ("queue", WorkloadKind::Queue),
+    ("rbtree", WorkloadKind::RbTree),
+    ("btree", WorkloadKind::BTree),
+    ("ycsb", WorkloadKind::Ycsb),
+    ("tpcc", WorkloadKind::Tpcc),
+];
 
 /// The `--engine` value (default HOOP); exits with code 2 on a name
 /// `build_system` does not accept.
-fn engine_of(opts: &DetHashMap<String, String>) -> &str {
+fn engine_of(opts: &DetHashMap<String, String>) -> &'static str {
     let engine = opts.get("engine").map(String::as_str).unwrap_or("HOOP");
-    if !engine_names().any(|e| e == engine) {
+    engine_names().find(|e| *e == engine).unwrap_or_else(|| {
         let names: Vec<&str> = engine_names().collect();
         usage_error(&format!(
             "--engine: unknown engine '{engine}' (one of: {})",
             names.join(", ")
-        ));
-    }
-    engine
+        ))
+    })
 }
 
-fn spec_from(opts: &DetHashMap<String, String>) -> WorkloadSpec {
-    let kind = kind_of(
-        opts.get("workload")
-            .map(String::as_str)
-            .unwrap_or("hashmap"),
-    );
+/// The `--workload` label (default hashmap) and its spec from the workload
+/// flags; exits with code 2 on an unknown workload name.
+fn spec_from(opts: &DetHashMap<String, String>) -> (&'static str, WorkloadSpec) {
+    let name = opts
+        .get("workload")
+        .map(String::as_str)
+        .unwrap_or("hashmap");
+    let Some(&(label, kind)) = WORKLOADS.iter().find(|(n, _)| *n == name) else {
+        usage_error(&format!("unknown workload '{name}' (see `hoopsim list`)"))
+    };
     let mut spec = WorkloadSpec::small(kind);
     if let Some(v) = opt(opts, "item-bytes") {
         spec.item_bytes = v;
@@ -111,64 +113,53 @@ fn spec_from(opts: &DetHashMap<String, String>) -> WorkloadSpec {
     if let Some(v) = opt(opts, "seed") {
         spec.seed = v;
     }
-    spec
+    (label, spec)
 }
 
 /// Machine configuration for a CLI run: the default Table II machine with
 /// the `--shards N` host knob applied (byte-identical output for any N).
 fn cfg_from(opts: &DetHashMap<String, String>) -> SimConfig {
-    let mut cfg = SimConfig::default();
-    if let Some(n) = opt(opts, "shards") {
-        if n == 0 {
-            usage_error("--shards needs a positive integer, got '0'");
-        }
-        cfg.shards = n;
-    }
-    cfg
-}
-
-/// The `run` window for `txs` transactions: `txs / 10` warmup, then `txs`
-/// measured.
-fn window(txs: u64) -> ReplayWindow {
-    ReplayWindow {
-        warmup: txs / 10,
-        measured: txs,
-        min_cycles: 0,
+    let shards = opts
+        .get("shards")
+        .map_or(Ok(1), |v| parse_positive("--shards", v));
+    SimConfig {
+        shards: shards.unwrap_or_else(|e| usage_error(&e)),
+        ..SimConfig::default()
     }
 }
 
-/// Per-core stream depth that covers the `run` window of `txs`
-/// transactions on `workers` cores (with the default 2× scheduling margin).
-fn depth_for(txs: u64, workers: u8) -> u32 {
-    let w = window(txs);
-    default_txs_per_core(w.warmup + w.measured, u64::from(workers))
-}
-
-/// The largest `--txs` a recorded trace covers: the inverse of
-/// [`depth_for`], rounding down.
+/// The largest `--txs` a recorded trace covers: the inverse of the `run`
+/// cell's [`trace_depth`], rounding down.
 fn txs_covered(h: &TraceHeader) -> u64 {
     u64::from(h.txs_per_core / 2) * u64::from(h.workers) * 10 / 11
 }
 
-fn run_one(
-    engine: &str,
-    spec: WorkloadSpec,
+/// The `run` cell of `engine` on the workload flags' spec: `--txs`
+/// (default `txs`) measured after a tenth as many warmup transactions. Also
+/// returns the runner options carrying `--sanitize` and `--shards`.
+fn cell_from(
+    opts: &DetHashMap<String, String>,
+    engine: &'static str,
     txs: u64,
-    sanitize: bool,
-    cfg: &SimConfig,
-) -> (RunReport, Option<pmcheck::SanitizerSummary>) {
-    let mut sys = build_system(engine, cfg);
-    let san = sanitize.then(|| {
-        let (san, handle) = pmcheck::PersistencySanitizer::shared();
-        sys.attach_sanitizer(handle);
-        san
-    });
-    let mut driver = Driver::new(spec, cfg);
-    driver.setup(&mut sys);
-    let w = window(txs);
-    let report = driver.run(&mut sys, w.warmup, w.measured);
-    let summary = san.map(|s| s.lock().expect("sanitizer poisoned").summary());
-    (report, summary)
+) -> (Cell, RunnerOptions) {
+    let (label, spec) = spec_from(opts);
+    let sim = cfg_from(opts);
+    let txs = opt(opts, "txs").unwrap_or(txs);
+    let cell = Cell {
+        engine,
+        workload: label,
+        spec,
+        window: fixed_window(txs / 10, txs),
+        trace: label.to_string(),
+        sim,
+    };
+    let run = RunnerOptions {
+        sanitize: opts.contains_key("sanitize"),
+        shards: sim.shards,
+        // The scale only labels result documents, which hoopsim never writes.
+        ..RunnerOptions::live(Scale::Quick, default_jobs())
+    };
+    (cell, run)
 }
 
 /// Prints a run's summary and, when sanitized, its audit; exits with code
@@ -197,20 +188,18 @@ fn main() {
     let (cmd, opts) = parse_args();
     match cmd.as_str() {
         "run" => {
-            let engine = engine_of(&opts);
-            let spec = spec_from(&opts);
-            let txs = opt(&opts, "txs").unwrap_or(10_000);
-            let sanitize = opts.contains_key("sanitize");
-            let cfg = cfg_from(&opts);
-            let (r, summary) = run_one(engine, spec, txs, sanitize, &cfg);
-            print_report(&r, summary);
+            let (cell, run) = cell_from(&opts, engine_of(&opts), 10_000);
+            let r = run_cell(&cell, &run);
+            print_report(&r.report, r.sanitizer);
         }
         "compare" => {
-            let spec = spec_from(&opts);
-            let txs = opt(&opts, "txs").unwrap_or(10_000);
-            let cfg = cfg_from(&opts);
-            for engine in ENGINES {
-                println!("{}", run_one(engine, spec, txs, false, &cfg).0.summary());
+            let (cell, run) = cell_from(&opts, "HOOP", 10_000);
+            let cells = ENGINES.map(|engine| Cell {
+                engine,
+                ..cell.clone()
+            });
+            for r in ExperimentPlan::new("compare", cells.to_vec()).run(&run) {
+                println!("{}", r.report.summary());
             }
         }
         "recover" => {
@@ -222,22 +211,21 @@ fn main() {
             );
         }
         "trace" => {
-            let spec = spec_from(&opts);
-            let txs = opt(&opts, "txs").unwrap_or(200);
+            let (cell, _) = cell_from(&opts, "HOOP", 200);
             let out = opts
                 .get("out")
                 .cloned()
                 .unwrap_or_else(|| "hoopsim.trace".into());
-            let cfg = SimConfig::default();
             let record = RecordOptions {
-                txs_per_core: depth_for(txs, cfg.worker_threads),
+                txs_per_core: trace_depth(&[&cell]),
                 values: false,
             };
-            let tf = record_workload(&spec.kind.to_string(), spec, &cfg, record)
-                .unwrap_or_else(|e| panic!("recording {}: {e}", spec.kind));
+            let tf = record_workload(cell.workload, cell.spec, &cell.sim, record)
+                .unwrap_or_else(|e| panic!("recording {}: {e}", cell.workload));
             let events = tf.event_count();
             tf.write_to(Path::new(&out))
                 .unwrap_or_else(|e| usage_error(&format!("--out: {e}")));
+            let txs = cell.window.measured;
             println!("recorded {events} events covering {txs} txs -> {out}");
         }
         "replay" => {
@@ -255,7 +243,8 @@ fn main() {
             }
             let sanitize = opts.contains_key("sanitize");
             let cfg = cfg_from(&opts);
-            let (r, summary) = replay_cell(&tf, engine, &cfg, window(txs), sanitize);
+            let (r, summary) =
+                replay_cell(&tf, engine, &cfg, fixed_window(txs / 10, txs), sanitize);
             println!(
                 "replayed {} ({} events) on {engine}",
                 tf.header.label,
@@ -277,7 +266,7 @@ fn main() {
         "list" => {
             let names: Vec<&str> = engine_names().collect();
             println!("engines:   {}", names.join(", "));
-            println!("workloads: vector, hashmap, queue, rbtree, btree, ycsb, tpcc");
+            println!("workloads: {}", WORKLOADS.map(|(n, _)| n).join(", "));
         }
         _ => {
             println!("hoopsim — HOOP NVM simulator CLI");

@@ -21,17 +21,20 @@
 //! is confined to serial phases.
 //!
 //! ```text
-//! media [--quick|--full] [--seed N] [--shards N]
+//! media [--quick|--full] [--seed N] [--jobs N] [--shards N] [--sanitize]
 //! ```
+//!
+//! `--record`/`--replay` are refused: a replay cannot return the media or
+//! wear state this figure reports.
 
 use hoop_bench::experiments::{spec_for, write_csv, Scale, MATRIX};
 use hoop_bench::json::Json;
 use hoop_bench::runner::{
-    parse_value, usage_error, EnduranceSummary, RunnerOptions, RESULT_SCHEMA_VERSION,
+    fixed_window, parse_value, results_doc, usage_error, write_json, Cell, CellResult,
+    ExperimentPlan, RunnerOptions, LIVE_GRID_FLAGS,
 };
-use nvm::media::MediaSummary;
 use simcore::config::{MediaConfig, SimConfig};
-use workloads::driver::{build_system, engine_names, Driver};
+use workloads::driver::engine_names;
 
 /// The stress fault schedule: `MediaConfig::enabled(seed)` with the
 /// endurance horizon pulled within the run's reach, so wear-outs, ECC
@@ -57,18 +60,23 @@ fn stress_config(seed: u64, scale: Scale) -> MediaConfig {
 }
 
 fn main() {
-    let (opts, extra) = RunnerOptions::from_args(&["--seed"]);
+    let (mut opts, extra) = RunnerOptions::from_args(LIVE_GRID_FLAGS, &["--seed"]);
+    // The figure is wear and fault state: tracking is always on.
+    opts.endurance = true;
     let seed = extra
         .last()
         .map_or(Ok(0), |(flag, v)| parse_value(flag, v))
         .unwrap_or_else(|e| usage_error(&e));
     let scale = opts.scale;
-    let mut sim = SimConfig::default();
-    opts.apply_to_sim(&mut sim);
-    sim.media = stress_config(seed, scale);
+    // The media model is armed through `sim.media`; attaching it
+    // auto-enables endurance tracking (the schedule is wear-coupled).
+    let sim = SimConfig {
+        media: stress_config(seed, scale),
+        ..SimConfig::default()
+    };
 
     let wcfg = MATRIX[2]; // hashmap-64B: the paper's canonical fine-grained updater
-    let spec = spec_for(wcfg, scale);
+
     // Sized so every engine's run spans several 1 ms patrol-scrub periods
     // (2.5M cycles each): wear-capped but cache-hot lines are only ever
     // *read* by the scrubber, so the retire/remap path needs it to fire.
@@ -76,7 +84,17 @@ fn main() {
         Scale::Quick => 45_000,
         Scale::Full => 150_000,
     };
-    let engines: Vec<&str> = engine_names().collect();
+    let cells = engine_names()
+        .map(|engine| Cell {
+            engine,
+            workload: wcfg.label,
+            spec: spec_for(wcfg, scale),
+            window: fixed_window(200, txs),
+            trace: format!("media-{}", wcfg.label),
+            sim,
+        })
+        .collect();
+    let results = ExperimentPlan::new("media", cells).run(&opts);
 
     println!(
         "== Media faults: lifetime & UE survival ({} / {} txs, cutoff {}, seed {}) ==",
@@ -87,43 +105,30 @@ fn main() {
         "engine", "hottest", "corrected", "UE", "retired", "spares", "scrubs", "lost", "lifetime"
     );
 
-    let mut results: Vec<(&str, EnduranceSummary, MediaSummary, u64)> = Vec::new();
-    for engine in &engines {
-        // The media model is armed through `sim.media`; attaching it
-        // auto-enables endurance tracking (the schedule is wear-coupled).
-        let mut sys = build_system(engine, &sim);
-        let mut driver = Driver::new(spec, &sim);
-        driver.setup(&mut sys);
-        let r = driver.run(&mut sys, 200, txs);
-        // Demand reads always deliver the store's true bytes (UEs cost
-        // latency and trigger retirement); data loss can only be *declared*
-        // by a recovery path, so a live run must stay both correct and
-        // loss-free — that is the UE-survival claim.
-        assert_eq!(r.verify_errors, 0, "{engine}: corrupted data under faults");
-        let media = sys.media().summary();
-        assert_eq!(media.data_loss, 0, "{engine}: declared data loss mid-run");
-        assert!(media.reads > 0, "{engine}: fault model saw no reads");
-        let wear = EnduranceSummary::from_map(
-            sys.engine()
-                .device()
-                .endurance()
-                .expect("media faults imply endurance tracking"),
-        );
-        results.push((engine, wear, media, r.cycles));
-    }
-
     let cutoff = sim.media.endurance_cutoff;
-    let hoop_life = {
-        let (_, wear, _, _) = results
-            .iter()
-            .find(|(n, _, _, _)| *n == "HOOP")
-            .expect("HOOP ran");
-        cutoff as f64 / wear.max_line_writes.max(1) as f64
+    let lifetime_of = |cell: &CellResult| {
+        let hottest = cell.endurance.as_ref().map_or(0, |w| w.max_line_writes);
+        cutoff as f64 / hottest.max(1) as f64
     };
+    let hoop_life = lifetime_of(
+        results
+            .iter()
+            .find(|c| c.engine == "HOOP")
+            .expect("HOOP ran"),
+    );
     let mut rows = Vec::new();
     let mut cells = Vec::new();
-    for (engine, wear, media, cycles) in &results {
-        let lifetime = cutoff as f64 / wear.max_line_writes.max(1) as f64;
+    for cell in &results {
+        let engine = cell.engine;
+        let wear = cell.endurance.as_ref().expect("endurance tracked");
+        let media = cell.media.expect("media model armed");
+        // Demand reads always deliver the store's true bytes (UEs cost
+        // latency and trigger retirement; the plan checked every cell
+        // verified); data loss can only be *declared* by a recovery path,
+        // so a live run must stay loss-free — that is the UE-survival claim.
+        assert_eq!(media.data_loss, 0, "{engine}: declared data loss mid-run");
+        assert!(media.reads > 0, "{engine}: fault model saw no reads");
+        let lifetime = lifetime_of(cell);
         let vs_hoop = lifetime / hoop_life;
         println!(
             "{:<10}{:>10}{:>12}{:>8}{:>8}{:>9}{:>9}{:>10}{:>12.2}",
@@ -152,7 +157,7 @@ fn main() {
         ));
         cells.push(Json::obj([
             ("engine", Json::Str(engine.to_string())),
-            ("cycles", Json::UInt(*cycles)),
+            ("cycles", Json::UInt(cell.report.cycles)),
             ("endurance", wear.to_json()),
             (
                 "media",
@@ -179,19 +184,7 @@ fn main() {
          spare_exhausted,scrub_rewrites,data_loss,effective_lifetime,lifetime_vs_hoop",
         &rows,
     );
-    let doc = Json::obj([
-        ("schema_version", Json::UInt(RESULT_SCHEMA_VERSION)),
-        ("experiment", Json::Str("media".to_string())),
-        (
-            "scale",
-            Json::Str(
-                match scale {
-                    Scale::Quick => "quick",
-                    Scale::Full => "full",
-                }
-                .to_string(),
-            ),
-        ),
+    let extra = vec![
         ("media_seed", Json::UInt(seed)),
         ("workload", Json::Str(wcfg.label.to_string())),
         (
@@ -205,15 +198,6 @@ fn main() {
                 ("scrub_period_ms", Json::UInt(sim.media.scrub_period_ms)),
             ]),
         ),
-        ("cells", Json::Arr(cells)),
-    ]);
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        eprintln!("warning: cannot create results/, skipping JSON for media");
-        return;
-    }
-    let path = dir.join("media.json");
-    if std::fs::write(&path, doc.pretty()).is_ok() {
-        eprintln!("wrote {}", path.display());
-    }
+    ];
+    write_json("media", &results_doc("media", scale, extra, cells));
 }

@@ -2,14 +2,14 @@
 //! generated from each engine's declared properties.
 
 use hoop_bench::experiments::write_csv;
-use hoop_bench::runner::RunnerOptions;
+use hoop_bench::runner::{RunnerOptions, SCALE_FLAGS};
 use simcore::config::SimConfig;
 use workloads::driver::build_system;
 
 fn main() {
-    // No flags of its own; rejects unknown ones (--quick is accepted and
-    // changes nothing).
-    let _ = RunnerOptions::from_args(&[]);
+    // No measured cell: only the scale flags parse (--quick changes
+    // nothing here), every other flag exits 2.
+    let _ = RunnerOptions::from_args(SCALE_FLAGS, &[]);
     let cfg = SimConfig::small_for_tests();
     println!(
         "{:<10}{:>14}{:>18}{:>22}{:>15}",

@@ -2,13 +2,13 @@
 //! workload specs.
 
 use hoop_bench::experiments::write_csv;
-use hoop_bench::runner::RunnerOptions;
+use hoop_bench::runner::{RunnerOptions, SCALE_FLAGS};
 use workloads::{WorkloadKind, WorkloadSpec};
 
 fn main() {
-    // No flags of its own; rejects unknown ones (--quick is accepted and
-    // changes nothing).
-    let _ = RunnerOptions::from_args(&[]);
+    // No measured cell: only the scale flags parse (--quick changes
+    // nothing here), every other flag exits 2.
+    let _ = RunnerOptions::from_args(SCALE_FLAGS, &[]);
     println!(
         "{:<10}{:<42}{:>11}{:>13}",
         "Workload", "Description", "Stores/TX", "Write/Read"

@@ -13,14 +13,13 @@
 use std::path::PathBuf;
 
 use hoop_bench::experiments::Scale;
-use hoop_bench::runner::{usage_error, RunMode, RunnerOptions};
+use hoop_bench::runner::{parse_positive, usage_error, RunnerOptions};
 use hoop_bench::tracepack::{record_pack, QUICK_PACK_DIR};
 
 fn main() {
-    let (opts, extra) = RunnerOptions::from_args(&["--dir"]);
-    if !matches!(opts.mode, RunMode::Live) {
-        usage_error("trace_pack always records; use --dir, not --record/--replay");
-    }
+    // Always records: `--dir` names the pack, `--depth` sizes its streams.
+    let (opts, extra) =
+        RunnerOptions::from_args(&["--quick", "--full", "--jobs"], &["--dir", "--depth"]);
     // Unlike the figure binaries, the pack defaults to quick scale: the
     // committed artifact must stay small and regenerate in CI time.
     let scale = if std::env::args().any(|a| a == "--full") {
@@ -28,17 +27,15 @@ fn main() {
     } else {
         Scale::Quick
     };
-    let dir = extra
-        .last()
-        .map_or_else(|| PathBuf::from(QUICK_PACK_DIR), |(_, v)| PathBuf::from(v));
-    eprintln!(
-        "recording {} pack into {}",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        },
-        dir.display()
-    );
-    record_pack(&dir, scale, opts.jobs, opts.depth);
+    let mut dir = PathBuf::from(QUICK_PACK_DIR);
+    let mut depth = None;
+    for (flag, value) in &extra {
+        match flag.as_str() {
+            "--dir" => dir = PathBuf::from(value),
+            _ => depth = Some(parse_positive(flag, value).unwrap_or_else(|e| usage_error(&e))),
+        }
+    }
+    eprintln!("recording {} pack into {}", scale.name(), dir.display());
+    record_pack(&dir, scale, opts.jobs, depth);
     println!("trace pack written to {}", dir.display());
 }

@@ -17,6 +17,14 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The scale's name in result documents (`quick` / `full`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Full => "full",
+        }
+    }
+
     /// Measured transactions per run.
     pub fn measured(self) -> u64 {
         match self {
@@ -239,12 +247,13 @@ pub fn print_normalized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_cell, RunnerOptions};
+    use crate::runner::{run_cell, Cell, RunnerOptions};
     use simcore::config::SimConfig;
 
     fn quick_cell(engine: &'static str) -> RunReport {
         let opts = RunnerOptions::live(Scale::Quick, 1);
-        run_cell(engine, MATRIX[0], &SimConfig::small_for_tests(), &opts).report
+        let sim = SimConfig::small_for_tests();
+        run_cell(&Cell::grid(engine, MATRIX[0], Scale::Quick, &sim), &opts).report
     }
 
     #[test]

@@ -19,8 +19,13 @@
 //! schema-versioned JSON document (see [`write_json`]) that CI uploads as an
 //! artifact and trajectory tooling can diff across commits.
 //!
-//! Every figure binary also supports trace modes (`--record DIR` /
-//! `--replay DIR`): recording captures each workload row once into a binary
+//! A [`Cell`] is the complete description of one measured run — engine,
+//! resolved workload, window, trace label and machine — and [`run_cell`] is
+//! the only way one runs, so every grid binary is a list of cells handed to
+//! [`ExperimentPlan::run`].
+//!
+//! Grid binaries also support trace modes (`--record DIR` /
+//! `--replay DIR`): recording captures each trace label once into a binary
 //! trace (`hoop-trace`), replaying feeds the recorded streams into every
 //! engine of the row. Replay is byte-identical to a live run — CI proves it
 //! by `cmp`-ing live and replayed JSON documents.
@@ -29,9 +34,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use nvm::media::MediaSummary;
 use nvm::wearlevel::{EnduranceMap, GAP_MOVE_RATE};
 use pmcheck::{PersistencySanitizer, SanitizerSummary};
 use simcore::config::SimConfig;
+use simcore::stats::Counter;
 use trace::{
     default_txs_per_core, record_workload, replay_cell, RecordOptions, ReplayWindow, TraceFile,
     TraceReader,
@@ -60,7 +67,8 @@ pub enum RunMode {
     Replay(PathBuf),
 }
 
-/// Command-line options shared by every figure/table binary:
+/// Command-line options shared by the figure/table binaries (each accepts
+/// the subset its output can honour; see [`GRID_FLAGS`] and its siblings):
 /// `--quick`/`--full` selects the [`Scale`], `--jobs N` the worker count,
 /// `--sanitize` attaches the persistency sanitizer to every cell,
 /// `--endurance` tracks per-line wear and exports an `endurance` summary
@@ -83,7 +91,7 @@ pub struct RunnerOptions {
     /// Live / record / replay.
     pub mode: RunMode,
     /// Per-core transactions to record (record mode only). `None` sizes the
-    /// depth automatically; see [`plan_depth`].
+    /// depth automatically; see [`trace_depth`].
     pub depth: Option<u32>,
     /// Intra-cell host shards (`--shards N`, default 1): each cell's bulk
     /// phases run on this many host threads (see `simcore::shard`). A pure
@@ -91,41 +99,78 @@ pub struct RunnerOptions {
     pub shards: u8,
 }
 
-/// The value-less flags every figure binary accepts.
+/// The value-less shared flags; every other shared flag takes a value.
 const SWITCHES: [&str; 4] = ["--quick", "--full", "--sanitize", "--endurance"];
-/// The flags every figure binary accepts that take a value.
-const VALUED: [&str; 5] = ["--jobs", "--record", "--replay", "--depth", "--shards"];
+/// Every shared flag, ordered so each binary's accepted set is a prefix:
+/// a binary takes the flags its output can honour and refuses the rest.
+const SHARED: [&str; 9] = [
+    "--quick",
+    "--full",
+    "--jobs",
+    "--shards",
+    "--sanitize",
+    "--record",
+    "--replay",
+    "--depth",
+    "--endurance",
+];
+/// A binary without a measured cell (fig4, fig11, table1, table3,
+/// ext_condensed): only the scale.
+pub const SCALE_FLAGS: &[&str] = SHARED.split_at(2).0;
+/// A grid whose output is live device state — wear or media-fault counters
+/// (ext_lifetime, media) — that a replay cannot return.
+pub const LIVE_GRID_FLAGS: &[&str] = SHARED.split_at(5).0;
+/// A grid that writes only CSVs (fig10/12/13, ext_multi, ext_mix): no
+/// per-cell document carries a wear summary.
+pub const CSV_GRID_FLAGS: &[&str] = SHARED.split_at(8).0;
+/// A grid whose cells export JSON (fig7/8/9, table4): every shared flag.
+pub const GRID_FLAGS: &[&str] = &SHARED;
 
 impl RunnerOptions {
     /// Parses the process arguments (see [`parse`](RunnerOptions::parse)).
-    /// On an unknown flag or a bad value it prints the error and exits with
-    /// code 2.
-    pub fn from_args(extra: &[&str]) -> (RunnerOptions, Vec<(String, String)>) {
+    /// On an unknown or refused flag or a bad value it prints the error and
+    /// exits with code 2.
+    pub fn from_args(accepted: &[&str], extra: &[&str]) -> (RunnerOptions, Vec<(String, String)>) {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        RunnerOptions::parse(&args, extra).unwrap_or_else(|e| usage_error(&e))
+        RunnerOptions::parse(&args, accepted, extra).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// Parses `--quick` / `--full` / `--sanitize` / `--endurance` and
     /// `--jobs N` / `--record DIR` / `--replay DIR` / `--depth N` /
     /// `--shards N` (each also as `--flag=VALUE`) from `args`, the argv
-    /// without the program name. `extra` names the valued flags only this
-    /// binary accepts; their `(flag, value)` pairs are returned in argv
-    /// order. Defaults: full scale, all available cores, sanitizer and
-    /// endurance tracking off, live mode, 1 shard.
+    /// without the program name. `accepted` names the shared flags this
+    /// binary honours; `extra` names the valued flags only this binary
+    /// accepts, whose `(flag, value)` pairs are returned in argv order.
+    /// Defaults: full scale, all available cores, sanitizer and endurance
+    /// tracking off, live mode, 1 shard.
     ///
     /// # Errors
     ///
-    /// Names the flag on an unknown flag, a stray argument, a missing or
-    /// malformed value, or a conflicting combination.
+    /// Names the flag on an unknown flag, a shared flag outside `accepted`
+    /// (it would change nothing), a stray argument, a missing or malformed
+    /// value, or a conflicting combination.
     pub fn parse(
         args: &[String],
+        accepted: &[&str],
         extra: &[&str],
     ) -> Result<(RunnerOptions, Vec<(String, String)>), String> {
-        let valued: Vec<&str> = VALUED.iter().chain(extra).copied().collect();
+        let shared_valued = SHARED.iter().filter(|f| !SWITCHES.contains(f));
+        let valued: Vec<&str> = shared_valued.chain(extra).copied().collect();
         let mut opts = RunnerOptions::live(Scale::Full, default_jobs());
         let (mut record, mut replay) = (None, None);
         let mut extras = Vec::new();
         for (flag, value) in split_flags(args, &SWITCHES, &valued)? {
+            if extra.contains(&flag.as_str()) {
+                extras.push((flag, value));
+                continue;
+            }
+            if !accepted.contains(&flag.as_str()) {
+                let takes: Vec<&str> = accepted.iter().chain(extra).copied().collect();
+                return Err(format!(
+                    "{flag} is not accepted by this binary (it takes {})",
+                    takes.join(", ")
+                ));
+            }
             match flag.as_str() {
                 "--quick" => opts.scale = Scale::Quick,
                 "--full" => {}
@@ -136,7 +181,7 @@ impl RunnerOptions {
                 "--shards" => opts.shards = parse_positive(&flag, &value)?,
                 "--record" => record = Some(PathBuf::from(value)),
                 "--replay" => replay = Some(PathBuf::from(value)),
-                _ => extras.push((flag, value)),
+                _ => unreachable!("split_flags yields only known flags"),
             }
         }
         opts.mode = match (record, replay) {
@@ -147,6 +192,9 @@ impl RunnerOptions {
         };
         if opts.endurance && opts.mode != RunMode::Live {
             return Err("--endurance requires a live run (drop --record/--replay)".into());
+        }
+        if opts.depth.is_some() && !matches!(opts.mode, RunMode::Record(_)) {
+            return Err("--depth sizes recorded traces; it needs --record DIR".into());
         }
         Ok((opts, extras))
     }
@@ -162,12 +210,6 @@ impl RunnerOptions {
             depth: None,
             shards: 1,
         }
-    }
-
-    /// Applies the intra-cell shard count to a machine configuration (the
-    /// figure binaries call this on the `SimConfig` they hand to the plan).
-    pub fn apply_to_sim(&self, sim: &mut SimConfig) {
-        sim.shards = self.shards.max(1);
     }
 }
 
@@ -222,7 +264,7 @@ pub fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, S
 }
 
 /// Parses `flag`'s value as a positive integer.
-fn parse_positive<T: std::str::FromStr + Default + PartialOrd>(
+pub fn parse_positive<T: std::str::FromStr + Default + PartialOrd>(
     flag: &str,
     value: &str,
 ) -> Result<T, String> {
@@ -238,7 +280,8 @@ pub fn usage_error(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-fn default_jobs() -> usize {
+/// The default worker count: every available core.
+pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -259,13 +302,53 @@ pub fn derive_workload_seed(label: &str) -> u64 {
     h
 }
 
-/// One cell of an experiment grid.
-#[derive(Clone, Copy, Debug)]
+/// One measured run: an engine on a resolved workload over a window, on
+/// its own machine. Cells share nothing, so a plan runs them in parallel.
+#[derive(Clone, Debug)]
 pub struct Cell {
     /// Engine name (must be known to `build_system`).
     pub engine: &'static str,
-    /// Workload column.
-    pub workload: WorkloadConfig,
+    /// Workload column label — what reports and JSON show.
+    pub workload: &'static str,
+    /// The resolved workload, seed included.
+    pub spec: WorkloadSpec,
+    /// Warmup, measured transactions and the measured-window floor.
+    pub window: ReplayWindow,
+    /// Trace file stem in a `--record`/`--replay` pack directory. Cells
+    /// with different specs need different labels.
+    pub trace: String,
+    /// Machine configuration; `shards` comes from the options at run time.
+    pub sim: SimConfig,
+}
+
+impl Cell {
+    /// The experiment-grid cell of `engine` on row `wcfg` at `scale`: the
+    /// row's label-derived, engine-blind spec, the scale's window extended
+    /// to [`min_cycles_for`], traced under the row label.
+    pub fn grid(engine: &'static str, wcfg: WorkloadConfig, scale: Scale, sim: &SimConfig) -> Cell {
+        Cell {
+            engine,
+            workload: wcfg.label,
+            spec: row_spec(wcfg, scale),
+            window: ReplayWindow {
+                warmup: scale.warmup(),
+                measured: scale.measured(),
+                min_cycles: min_cycles_for(scale, sim),
+            },
+            trace: wcfg.label.to_string(),
+            sim: *sim,
+        }
+    }
+}
+
+/// A window of `warmup` then exactly `measured` transactions (no
+/// `min_cycles` floor).
+pub fn fixed_window(warmup: u64, measured: u64) -> ReplayWindow {
+    ReplayWindow {
+        warmup,
+        measured,
+        min_cycles: 0,
+    }
 }
 
 /// Per-cell wear accounting derived from the device's [`EnduranceMap`]
@@ -333,6 +416,9 @@ pub struct CellResult {
     /// Per-line wear summary (`Some` only on `--endurance` runs; the JSON
     /// document is unchanged when absent).
     pub endurance: Option<EnduranceSummary>,
+    /// Media-fault counters (`Some` only when the cell's `sim.media` is
+    /// armed; the `media` figure serializes them in its own document).
+    pub media: Option<MediaSummary>,
 }
 
 impl CellResult {
@@ -342,6 +428,7 @@ impl CellResult {
         let r = &self.report;
         let es = &r.engine_stats;
         let hs = &r.hier_stats;
+        let count = |c: &Counter| Json::UInt(c.get());
         let mut fields = vec![
             ("engine", Json::Str(self.engine.to_string())),
             ("workload", Json::Str(self.workload.to_string())),
@@ -373,40 +460,31 @@ impl CellResult {
             (
                 "engine_stats",
                 Json::obj([
-                    ("committed_txs", Json::UInt(es.committed_txs.get())),
-                    (
-                        "commit_stall_cycles",
-                        Json::UInt(es.commit_stall_cycles.get()),
-                    ),
-                    (
-                        "store_overhead_cycles",
-                        Json::UInt(es.store_overhead_cycles.get()),
-                    ),
-                    (
-                        "miss_service_cycles",
-                        Json::UInt(es.miss_service_cycles.get()),
-                    ),
-                    ("misses_served", Json::UInt(es.misses_served.get())),
-                    ("parallel_reads", Json::UInt(es.parallel_reads.get())),
-                    ("miss_memory_loads", Json::UInt(es.miss_memory_loads.get())),
-                    ("gc_runs", Json::UInt(es.gc_runs.get())),
-                    ("gc_bytes_in", Json::UInt(es.gc_bytes_in.get())),
-                    ("gc_bytes_out", Json::UInt(es.gc_bytes_out.get())),
+                    ("committed_txs", count(&es.committed_txs)),
+                    ("commit_stall_cycles", count(&es.commit_stall_cycles)),
+                    ("store_overhead_cycles", count(&es.store_overhead_cycles)),
+                    ("miss_service_cycles", count(&es.miss_service_cycles)),
+                    ("misses_served", count(&es.misses_served)),
+                    ("parallel_reads", count(&es.parallel_reads)),
+                    ("miss_memory_loads", count(&es.miss_memory_loads)),
+                    ("gc_runs", count(&es.gc_runs)),
+                    ("gc_bytes_in", count(&es.gc_bytes_in)),
+                    ("gc_bytes_out", count(&es.gc_bytes_out)),
                     (
                         "ondemand_gc_stall_cycles",
-                        Json::UInt(es.ondemand_gc_stall_cycles.get()),
+                        count(&es.ondemand_gc_stall_cycles),
                     ),
                 ]),
             ),
             (
                 "hier_stats",
                 Json::obj([
-                    ("accesses", Json::UInt(hs.accesses.get())),
-                    ("l1_hits", Json::UInt(hs.l1_hits.get())),
-                    ("l2_hits", Json::UInt(hs.l2_hits.get())),
-                    ("llc_hits", Json::UInt(hs.llc_hits.get())),
-                    ("llc_misses", Json::UInt(hs.llc_misses.get())),
-                    ("dirty_evictions", Json::UInt(hs.dirty_evictions.get())),
+                    ("accesses", count(&hs.accesses)),
+                    ("l1_hits", count(&hs.l1_hits)),
+                    ("l2_hits", count(&hs.l2_hits)),
+                    ("llc_hits", count(&hs.llc_hits)),
+                    ("llc_misses", count(&hs.llc_misses)),
+                    ("dirty_evictions", count(&hs.dirty_evictions)),
                 ]),
             ),
             (
@@ -419,13 +497,21 @@ impl CellResult {
                 ),
             ),
         ];
+        fields.extend(self.observer_fields());
+        Json::obj(fields)
+    }
+
+    /// The opt-in observer records of the cell — sanitizer and wear
+    /// summaries — in that order; empty on a plain run.
+    pub fn observer_fields(&self) -> Vec<(&'static str, Json)> {
+        let mut fields = Vec::new();
         if let Some(s) = &self.sanitizer {
             fields.push(("sanitizer", sanitizer_json(s)));
         }
         if let Some(e) = &self.endurance {
             fields.push(("endurance", e.to_json()));
         }
-        Json::obj(fields)
+        fields
     }
 }
 
@@ -461,34 +547,28 @@ pub struct ExperimentPlan {
     pub name: &'static str,
     /// The cells, in output order.
     pub cells: Vec<Cell>,
-    /// Machine configuration shared by all cells.
-    pub sim: SimConfig,
 }
 
 impl ExperimentPlan {
-    /// The §IV-A grid shared by Fig. 7/8/9: the full workload matrix
-    /// (including TPC-C) × every engine.
-    pub fn matrix(name: &'static str, sim: SimConfig) -> ExperimentPlan {
-        let mut cells = Vec::new();
-        for wcfg in MATRIX.into_iter().chain([TPCC]) {
-            for engine in ENGINES {
-                cells.push(Cell {
-                    engine,
-                    workload: wcfg,
-                });
-            }
-        }
-        ExperimentPlan::from_cells(name, cells, sim)
+    /// A plan named `name` over `cells`, in output order.
+    pub fn new(name: &'static str, cells: Vec<Cell>) -> ExperimentPlan {
+        ExperimentPlan { name, cells }
     }
 
-    /// A plan over an explicit cell list.
-    pub fn from_cells(name: &'static str, cells: Vec<Cell>, sim: SimConfig) -> ExperimentPlan {
-        ExperimentPlan { name, cells, sim }
+    /// The §IV-A grid shared by Fig. 7/8/9: the full workload matrix
+    /// (including TPC-C) × every engine, at `scale` on `sim`.
+    pub fn matrix(name: &'static str, scale: Scale, sim: &SimConfig) -> ExperimentPlan {
+        let cells = MATRIX
+            .into_iter()
+            .chain([TPCC])
+            .flat_map(|wcfg| ENGINES.map(|engine| Cell::grid(engine, wcfg, scale, sim)))
+            .collect();
+        ExperimentPlan { name, cells }
     }
 
     /// Executes every cell with [`run_cell`] on `opts.jobs` worker threads
     /// and returns results in plan order; `--record DIR` first records
-    /// every workload row into `DIR`, then replays it. Panics (after
+    /// every trace label into `DIR`, then replays it. Panics (after
     /// joining workers) if any cell failed verification or, when
     /// sanitized, reports a hard ordering violation — a corrupted cell must
     /// never silently enter results.
@@ -499,7 +579,7 @@ impl ExperimentPlan {
             cell_opts.mode = RunMode::Replay(dir.clone());
         }
         let results = run_parallel(&self.cells, opts.jobs, |cell| {
-            let result = run_cell(cell.engine, cell.workload, &self.sim, &cell_opts);
+            let result = run_cell(cell, &cell_opts);
             eprintln!("  {}", result.report.summary());
             result
         });
@@ -511,36 +591,54 @@ impl ExperimentPlan {
     /// `results/<name>.json`; returns the results.
     pub fn run_and_export(&self, opts: &RunnerOptions) -> Vec<CellResult> {
         let results = self.run(opts);
-        write_json(self.name, opts.scale, &results);
+        write_json(self.name, &results_json(self.name, opts.scale, &results));
         results
     }
 
-    /// The distinct workload columns of this plan, in first-seen order.
-    pub fn workloads(&self) -> Vec<WorkloadConfig> {
-        let mut seen: Vec<WorkloadConfig> = Vec::new();
+    /// Each distinct trace label of the plan once, in first-seen order,
+    /// with every cell that reads it.
+    pub fn traces(&self) -> Vec<Vec<&Cell>> {
+        let mut groups: Vec<Vec<&Cell>> = Vec::new();
         for cell in &self.cells {
-            if !seen.iter().any(|w| w.label == cell.workload.label) {
-                seen.push(cell.workload);
+            match groups.iter_mut().find(|g| g[0].trace == cell.trace) {
+                Some(group) => group.push(cell),
+                None => groups.push(vec![cell]),
             }
         }
-        seen
+        groups
     }
 
-    /// Records every workload row of the plan at `opts.scale` into
-    /// `dir/<label>.trace` (engine-blind: one trace per row serves all
-    /// engines) on `opts.jobs` threads. `opts.depth` overrides the per-core
-    /// stream depth; `None` uses [`plan_depth`].
+    /// Records every trace label of the plan into `dir/<label>.trace` on
+    /// `opts.jobs` threads (engine-blind: one trace serves every cell with
+    /// that label; store payloads elided). `opts.depth` overrides the
+    /// per-core stream depth; `None` uses [`trace_depth`] over the label's
+    /// cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two cells share a label but not a spec: one trace file
+    /// cannot hold both workloads.
     pub fn record_traces(&self, dir: &Path, opts: &RunnerOptions) {
-        let depth = opts
-            .depth
-            .unwrap_or_else(|| plan_depth(opts.scale, &self.sim));
-        run_parallel(&self.workloads(), opts.jobs, |wcfg| {
-            record_trace(
-                dir,
-                wcfg.label,
-                row_spec(*wcfg, opts.scale),
-                &self.sim,
-                depth,
+        run_parallel(&self.traces(), opts.jobs, |cells| {
+            let first = cells[0];
+            let label = &first.trace;
+            assert!(
+                cells.iter().all(|c| c.spec == first.spec),
+                "cells sharing trace label {label} must share a spec"
+            );
+            let options = RecordOptions {
+                txs_per_core: opts.depth.unwrap_or_else(|| trace_depth(cells)),
+                values: false,
+            };
+            let tf = record_workload(label, first.spec, &first.sim, options)
+                .unwrap_or_else(|e| panic!("recording {label}: {e}"));
+            let path = trace_path(dir, label);
+            tf.write_to(&path)
+                .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+            eprintln!(
+                "  recorded {} ({} events)",
+                path.display(),
+                tf.event_count()
             );
         });
     }
@@ -554,23 +652,18 @@ fn row_spec(wcfg: WorkloadConfig, scale: Scale) -> WorkloadSpec {
     }
 }
 
-/// Records `spec` into `dir/<label>.trace` with `depth` transactions per
-/// core (store payloads elided).
-pub fn record_trace(dir: &Path, label: &str, spec: WorkloadSpec, sim: &SimConfig, depth: u32) {
-    let options = RecordOptions {
-        txs_per_core: depth,
-        values: false,
-    };
-    let tf = record_workload(label, spec, sim, options)
-        .unwrap_or_else(|e| panic!("recording {label}: {e}"));
-    let path = trace_path(dir, label);
-    tf.write_to(&path)
-        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    eprintln!(
-        "  recorded {} ({} events)",
-        path.display(),
-        tf.event_count()
-    );
+/// Default recorded stream depth for the cells reading one trace: twice
+/// the balanced per-core share of the longest window's warmup + measured
+/// transactions. Exact when no window extends; a window with a
+/// `min_cycles` floor can extend up to 64× past `measured`, so it takes a
+/// 4× margin and relies on replay's loud run-dry panic (plus `--depth`)
+/// when a workload extends further.
+pub fn trace_depth(cells: &[&Cell]) -> u32 {
+    let txs = cells.iter().map(|c| c.window.warmup + c.window.measured);
+    let workers = cells.first().map_or(1, |c| c.sim.worker_threads);
+    let extends = cells.iter().any(|c| c.window.min_cycles > 0);
+    let margin = if extends { 4 } else { 1 };
+    default_txs_per_core(txs.max().unwrap_or(0), u64::from(workers)) * margin
 }
 
 /// Reads `dir/<label>.trace` and checks its recorded workload identity
@@ -639,53 +732,37 @@ pub fn min_cycles_for(scale: Scale, sim: &SimConfig) -> u64 {
     }
 }
 
-/// Default recorded stream depth for a plan at `scale`: twice the balanced
-/// per-core share of the driver-issued transactions. Exact for quick runs
-/// (their windows never extend); full-scale runs can extend up to 64× past
-/// `measured` to satisfy [`min_cycles_for`], so full-scale recording takes
-/// a 4× margin and relies on replay's loud run-dry panic (plus `--depth`)
-/// when a workload extends further.
-pub fn plan_depth(scale: Scale, sim: &SimConfig) -> u32 {
-    let total = scale.warmup() + scale.measured();
-    let base = default_txs_per_core(total, u64::from(sim.worker_threads));
-    match scale {
-        Scale::Quick => base,
-        Scale::Full => base * 4,
-    }
-}
-
-/// Runs one (engine, workload) cell at `opts.scale` with the row's
-/// label-derived, engine-blind seed (see [`derive_workload_seed`]).
+/// Runs one cell, the only way a measured cell runs. Its machine is
+/// `cell.sim` with `opts.shards` host shards.
 ///
-/// - Live mode generates the workload. At [`Scale::Full`] the measured
-///   window extends until it spans several background GC/checkpoint
-///   periods ([`min_cycles_for`]), so steady-state traffic (not just
-///   end-of-run drains) is captured.
-/// - `--replay DIR` replays `DIR/<label>.trace` instead, after checking its
-///   recorded identity against the cell's spec; `--record DIR` records the
-///   row into `DIR` first. Replay is byte-identical to a live run.
+/// - Live mode generates the workload and runs the cell's window (at
+///   [`Scale::Full`] grid cells extend until they span several background
+///   GC/checkpoint periods, see [`min_cycles_for`]).
+/// - `--replay DIR` replays `DIR/<trace>.trace` instead, after checking its
+///   recorded identity against the cell's spec. So does `--record DIR`:
+///   [`ExperimentPlan::run`] records every trace label before any cell
+///   runs. Replay is byte-identical to a live run.
 /// - `--sanitize` audits the whole cell (setup, warmup and measurement)
 ///   with an attached [`PersistencySanitizer`]; `--endurance` tracks
-///   per-line wear on the device (live only). Both are observers: the
-///   report is unchanged.
+///   per-line wear on the device (live only); an armed `sim.media` returns
+///   the fault model's summary (live only). All are observers: the report
+///   is unchanged.
 ///
 /// # Panics
 ///
-/// Panics if `opts.endurance` is set outside live mode, or with a
-/// regeneration hint if the trace is missing, unreadable or stale.
-pub fn run_cell(
-    engine: &'static str,
-    wcfg: WorkloadConfig,
-    sim: &SimConfig,
-    opts: &RunnerOptions,
-) -> CellResult {
-    let scale = opts.scale;
-    let spec = row_spec(wcfg, scale);
-    let min_cycles = min_cycles_for(scale, sim);
-    let (mut report, sanitizer, endurance) = match &opts.mode {
+/// Panics if `opts.endurance` or `sim.media` is set outside live mode, or
+/// with a regeneration hint if the trace is missing, unreadable or stale.
+pub fn run_cell(cell: &Cell, opts: &RunnerOptions) -> CellResult {
+    let sim = SimConfig {
+        shards: opts.shards.max(1),
+        ..cell.sim
+    };
+    let w = cell.window;
+    let (mut report, sanitizer, endurance, media) = match &opts.mode {
         RunMode::Live => {
-            let mut sys = build_system(engine, sim);
-            if opts.endurance {
+            let mut sys = build_system(cell.engine, &sim);
+            // An armed media model already tracks wear; keep its map.
+            if opts.endurance && sys.engine().device().endurance().is_none() {
                 sys.enable_endurance_tracking();
             }
             let san = opts.sanitize.then(|| {
@@ -693,47 +770,35 @@ pub fn run_cell(
                 sys.attach_sanitizer(handle);
                 san
             });
-            let mut driver = Driver::new(spec, sim);
+            let mut driver = Driver::new(cell.spec, &sim);
             driver.setup(&mut sys);
-            let report = driver.run_until(&mut sys, scale.warmup(), scale.measured(), min_cycles);
+            let report = driver.run_until(&mut sys, w.warmup, w.measured, w.min_cycles);
             let summary = san.map(|s| s.lock().expect("sanitizer poisoned").summary());
-            let wear = opts.endurance.then(|| {
-                EnduranceSummary::from_map(
-                    sys.engine()
-                        .device()
-                        .endurance()
-                        .expect("endurance tracking enabled"),
-                )
-            });
-            (report, summary, wear)
+            let wear = (sys.engine().device().endurance())
+                .filter(|_| opts.endurance)
+                .map(EnduranceSummary::from_map);
+            let media = sim.media.enabled.then(|| sys.media().summary());
+            (report, summary, wear, media)
         }
         RunMode::Record(dir) | RunMode::Replay(dir) => {
             assert!(
-                !opts.endurance,
-                "--endurance requires a live run (drop --record/--replay)"
+                !opts.endurance && !sim.media.enabled,
+                "wear and media-fault state need a live run (drop --record/--replay)"
             );
-            if let RunMode::Record(_) = opts.mode {
-                let depth = opts.depth.unwrap_or_else(|| plan_depth(scale, sim));
-                record_trace(dir, wcfg.label, spec, sim, depth);
-            }
-            let tf = read_trace(dir, wcfg.label, &spec);
-            let window = ReplayWindow {
-                warmup: scale.warmup(),
-                measured: scale.measured(),
-                min_cycles,
-            };
-            let (report, summary) = replay_cell(&tf, engine, sim, window, opts.sanitize);
-            (report, summary, None)
+            let tf = read_trace(dir, &cell.trace, &cell.spec);
+            let (report, summary) = replay_cell(&tf, cell.engine, &sim, w, opts.sanitize);
+            (report, summary, None, None)
         }
     };
-    report.workload = wcfg.label.to_string();
+    report.workload = cell.workload.to_string();
     CellResult {
-        engine,
-        workload: wcfg.label,
-        seed: spec.seed,
+        engine: cell.engine,
+        workload: cell.workload,
+        seed: cell.spec.seed,
         report,
         sanitizer,
         endurance,
+        media,
     }
 }
 
@@ -772,41 +837,42 @@ where
         .collect()
 }
 
+/// The schema-versioned envelope of a `results/<name>.json` document:
+/// version, experiment and scale, then `extra` fields, then `cells`.
+pub fn results_doc(
+    name: &str,
+    scale: Scale,
+    extra: Vec<(&'static str, Json)>,
+    cells: Vec<Json>,
+) -> Json {
+    let mut fields = vec![
+        ("schema_version", Json::UInt(RESULT_SCHEMA_VERSION)),
+        ("experiment", Json::Str(name.to_string())),
+        ("scale", Json::Str(scale.name().to_string())),
+    ];
+    fields.extend(extra);
+    fields.push(("cells", Json::Arr(cells)));
+    Json::obj(fields)
+}
+
 /// Serializes experiment results as the schema-versioned document written to
 /// `results/<name>.json`.
 pub fn results_json(name: &str, scale: Scale, results: &[CellResult]) -> Json {
-    Json::obj([
-        ("schema_version", Json::UInt(RESULT_SCHEMA_VERSION)),
-        ("experiment", Json::Str(name.to_string())),
-        (
-            "scale",
-            Json::Str(
-                match scale {
-                    Scale::Quick => "quick",
-                    Scale::Full => "full",
-                }
-                .to_string(),
-            ),
-        ),
-        (
-            "cells",
-            Json::Arr(results.iter().map(CellResult::to_json).collect()),
-        ),
-    ])
+    let cells = results.iter().map(CellResult::to_json).collect();
+    results_doc(name, scale, Vec::new(), cells)
 }
 
-/// Writes `results/<name>.json` (best effort, like
+/// Writes `doc` to `results/<name>.json` (best effort, like
 /// [`write_csv`](crate::experiments::write_csv): read-only checkouts only
 /// get a warning).
-pub fn write_json(name: &str, scale: Scale, results: &[CellResult]) {
-    let doc = results_json(name, scale, results).pretty();
+pub fn write_json(name: &str, doc: &Json) {
     let dir = Path::new("results");
     if std::fs::create_dir_all(dir).is_err() {
         eprintln!("warning: cannot create results/, skipping JSON for {name}");
         return;
     }
     let path = dir.join(format!("{name}.json"));
-    if std::fs::write(&path, doc).is_ok() {
+    if std::fs::write(&path, doc.pretty()).is_ok() {
         eprintln!("wrote {}", path.display());
     }
 }
@@ -814,41 +880,30 @@ pub fn write_json(name: &str, scale: Scale, results: &[CellResult]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tracepack::{table4_label, table4_spec};
 
     fn argv(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
     }
 
     fn parse(v: &[&str], extra: &[&str]) -> Result<(RunnerOptions, Vec<(String, String)>), String> {
-        RunnerOptions::parse(&argv(v), extra)
+        RunnerOptions::parse(&argv(v), GRID_FLAGS, extra)
     }
 
-    fn one_cell_plan(
-        name: &'static str,
-        engine: &'static str,
-        workload: WorkloadConfig,
-    ) -> ExperimentPlan {
-        ExperimentPlan::from_cells(
-            name,
-            vec![Cell { engine, workload }],
-            SimConfig::small_for_tests(),
-        )
+    fn quick_cell(engine: &'static str, workload: WorkloadConfig) -> Cell {
+        let sim = SimConfig::small_for_tests();
+        Cell::grid(engine, workload, Scale::Quick, &sim)
     }
 
     /// The determinism contract: a 2×2 Quick sub-matrix must produce
     /// byte-identical JSON under serial and parallel execution.
     #[test]
     fn jobs1_and_jobs4_produce_identical_json() {
-        let sim = SimConfig::small_for_tests();
         let cells: Vec<Cell> = ["HOOP", "Opt-Redo"]
             .into_iter()
-            .flat_map(|engine| {
-                [MATRIX[0], MATRIX[2]]
-                    .into_iter()
-                    .map(move |workload| Cell { engine, workload })
-            })
+            .flat_map(|engine| [MATRIX[0], MATRIX[2]].map(|w| quick_cell(engine, w)))
             .collect();
-        let plan = ExperimentPlan::from_cells("determinism", cells, sim);
+        let plan = ExperimentPlan::new("determinism", cells);
         let run = |jobs| {
             let results = plan.run(&RunnerOptions::live(Scale::Quick, jobs));
             results_json("determinism", Scale::Quick, &results).pretty()
@@ -882,8 +937,9 @@ mod tests {
         assert_eq!((opts.scale, opts.jobs, opts.shards), (Scale::Quick, 4, 2));
         let (opts, _) = parse(&["--record", "traces"], &[]).expect("valid");
         assert_eq!(opts.mode, RunMode::Record(PathBuf::from("traces")));
-        let (opts, _) = parse(&["--replay=traces/quick", "--depth=9"], &[]).expect("valid");
+        let (opts, _) = parse(&["--replay=traces/quick"], &[]).expect("valid");
         assert_eq!(opts.mode, RunMode::Replay(PathBuf::from("traces/quick")));
+        let (opts, _) = parse(&["--record=traces/x", "--depth=9"], &[]).expect("valid");
         assert_eq!(opts.depth, Some(9));
     }
 
@@ -897,7 +953,9 @@ mod tests {
             (&["--jobs=x"], "--jobs"),
             (&["--jobs", "0"], "--jobs"),
             (&["--jobs"], "--jobs"),
-            (&["--depth", "-1"], "--depth"),
+            (&["--record", "a", "--depth", "-1"], "--depth"),
+            (&["--depth", "9"], "--depth"),
+            (&["--replay", "a", "--depth", "9"], "--depth"),
             (&["--quick=1"], "--quick"),
             (&["--record", "a", "--replay", "b"], "--record"),
             (&["--endurance", "--replay", "b"], "--endurance"),
@@ -921,40 +979,81 @@ mod tests {
         assert_eq!(extra, vec![("--seed".to_string(), "7".to_string())]);
         let (_, extra) = parse(&["--dir=traces/x"], &["--dir"]).expect("declared");
         assert_eq!(extra, vec![("--dir".to_string(), "traces/x".to_string())]);
+        // A binary's own flag shadows the shared one of the same name.
+        let (opts, extra) = parse(&["--depth", "3"], &["--depth"]).expect("declared");
+        assert_eq!(opts.depth, None);
+        assert_eq!(extra, vec![("--depth".to_string(), "3".to_string())]);
         assert_eq!(parse_value::<u64>("--seed", "7"), Ok(7));
         assert!(parse_value::<u64>("--seed", "x")
             .unwrap_err()
             .contains("--seed"));
     }
 
+    /// A shared flag outside a binary's set exits naming it instead of
+    /// parsing and doing nothing (`fig11 --jobs 2`, `media --replay x`).
+    #[test]
+    fn flags_outside_a_binarys_set_are_refused() {
+        for (args, accepted) in [
+            (&["--jobs", "2"][..], SCALE_FLAGS),
+            (&["--sanitize"], SCALE_FLAGS),
+            (&["--shards", "2"], SCALE_FLAGS),
+            (&["--record", "x"], LIVE_GRID_FLAGS),
+            (&["--replay", "x"], LIVE_GRID_FLAGS),
+            (&["--endurance"], LIVE_GRID_FLAGS),
+            (&["--endurance"], CSV_GRID_FLAGS),
+        ] {
+            let err = RunnerOptions::parse(&argv(args), accepted, &[]).expect_err("refused");
+            assert!(err.contains(args[0]), "{args:?}: {err:?}");
+        }
+        let ok = |args: &[&str], accepted| RunnerOptions::parse(&argv(args), accepted, &[]).is_ok();
+        assert!(ok(&["--quick", "--full"], SCALE_FLAGS));
+        assert!(ok(
+            &["--jobs", "1", "--shards", "2", "--sanitize"],
+            LIVE_GRID_FLAGS
+        ));
+        assert!(ok(&["--record", "x", "--depth", "3"], CSV_GRID_FLAGS));
+    }
+
     /// The trace contract at the runner level: a record run and a
     /// subsequent replay run of the same plan produce JSON byte-identical to
-    /// a live run.
+    /// a live run, at 1 and 2 shards — for matrix cells and for a Table
+    /// IV-shaped cell (no warmup, pinned-keyspace spec, its own trace label).
     #[test]
     fn record_replay_json_matches_live_json() {
-        let sim = SimConfig::small_for_tests();
-        let cells: Vec<Cell> = ["HOOP", "LAD", "Ideal"]
-            .into_iter()
-            .map(|engine| Cell {
-                engine,
-                workload: MATRIX[0],
-            })
-            .collect();
-        let plan = ExperimentPlan::from_cells("trace-ab", cells, sim);
-        let dir = std::env::temp_dir().join("hoop-trace-ab-test");
-        let run = |mode: RunMode| {
-            let opts = RunnerOptions {
-                mode,
-                ..RunnerOptions::live(Scale::Quick, 2)
-            };
-            results_json("trace-ab", Scale::Quick, &plan.run(&opts)).pretty()
+        let table4_shaped = Cell {
+            spec: table4_spec(MATRIX[4], Scale::Quick),
+            window: fixed_window(0, 100),
+            trace: table4_label(MATRIX[4]),
+            ..quick_cell("HOOP", MATRIX[4])
         };
-        let live = run(RunMode::Live);
-        let recorded = run(RunMode::Record(dir.clone()));
-        let replayed = run(RunMode::Replay(dir.clone()));
+        let mut cells = ["HOOP", "LAD", "Ideal"]
+            .map(|e| quick_cell(e, MATRIX[0]))
+            .to_vec();
+        cells.push(table4_shaped);
+        let plan = ExperimentPlan::new("trace-ab", cells);
+        let dir = std::env::temp_dir().join("hoop-trace-ab-test");
+        let mut docs = Vec::new();
+        for shards in [1, 2] {
+            for mode in [
+                RunMode::Live,
+                RunMode::Record(dir.clone()),
+                RunMode::Replay(dir.clone()),
+            ] {
+                let opts = RunnerOptions {
+                    mode: mode.clone(),
+                    shards,
+                    ..RunnerOptions::live(Scale::Quick, 2)
+                };
+                let doc = results_json("trace-ab", Scale::Quick, &plan.run(&opts)).pretty();
+                docs.push((format!("{mode:?} at {shards} shard(s)"), doc));
+            }
+        }
+        let recorded = trace_path(&dir, "table4-queue-64B").is_file();
         std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(live, recorded);
-        assert_eq!(live, replayed);
+        assert!(recorded, "no trace recorded under the cell's own label");
+        for (what, doc) in &docs[1..] {
+            assert_eq!(doc, &docs[0].1, "{what} differs from the live run");
+        }
     }
 
     #[test]
@@ -964,14 +1063,14 @@ mod tests {
             mode: RunMode::Replay(PathBuf::from("/nonexistent-trace-pack")),
             ..RunnerOptions::live(Scale::Quick, 1)
         };
-        let _ = run_cell("HOOP", MATRIX[0], &SimConfig::small_for_tests(), &opts);
+        let _ = run_cell(&quick_cell("HOOP", MATRIX[0]), &opts);
     }
 
     /// `--endurance` adds a wear summary per cell; without it the document
     /// is byte-identical to older builds (no `endurance` key at all).
     #[test]
     fn endurance_flag_gates_the_wear_summary() {
-        let plan = one_cell_plan("wear", "HOOP", MATRIX[2]);
+        let plan = ExperimentPlan::new("wear", vec![quick_cell("HOOP", MATRIX[2])]);
         let plain = plan.run(&RunnerOptions::live(Scale::Quick, 1));
         assert!(plain[0].endurance.is_none());
         assert!(!results_json("wear", Scale::Quick, &plain)
@@ -1001,17 +1100,10 @@ mod tests {
     /// summaries, and neither observer moves the measured report.
     #[test]
     fn sanitize_and_endurance_together_report_both_and_leave_the_report_alone() {
-        let sim = SimConfig::small_for_tests();
-        let plain = run_cell(
-            "HOOP",
-            MATRIX[2],
-            &sim,
-            &RunnerOptions::live(Scale::Quick, 1),
-        );
+        let cell = quick_cell("HOOP", MATRIX[2]);
+        let plain = run_cell(&cell, &RunnerOptions::live(Scale::Quick, 1));
         let both = run_cell(
-            "HOOP",
-            MATRIX[2],
-            &sim,
+            &cell,
             &RunnerOptions {
                 sanitize: true,
                 endurance: true,
@@ -1033,7 +1125,7 @@ mod tests {
 
     #[test]
     fn cell_result_json_is_schema_versioned() {
-        let plan = one_cell_plan("schema", "Ideal", MATRIX[0]);
+        let plan = ExperimentPlan::new("schema", vec![quick_cell("Ideal", MATRIX[0])]);
         let results = plan.run(&RunnerOptions::live(Scale::Quick, 1));
         let doc = results_json("schema", Scale::Quick, &results).pretty();
         assert!(doc.starts_with("{\n  \"schema_version\": 1,"));

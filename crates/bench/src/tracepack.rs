@@ -17,11 +17,10 @@
 use std::path::Path;
 
 use simcore::config::SimConfig;
-use trace::default_txs_per_core;
 use workloads::WorkloadSpec;
 
 use crate::experiments::{spec_for, Scale, WorkloadConfig, MATRIX, TPCC};
-use crate::runner::{record_trace, run_parallel, ExperimentPlan, RunnerOptions};
+use crate::runner::{fixed_window, Cell, ExperimentPlan, RunnerOptions};
 
 /// Directory of the committed quick-scale pack, relative to the workspace
 /// root.
@@ -61,28 +60,24 @@ pub fn table4_label(wcfg: WorkloadConfig) -> String {
     format!("table4-{}", wcfg.label)
 }
 
-/// Records one trace per Table IV workload row into `dir`, deep enough for
-/// the largest transaction count of the grid at `scale` (or `depth`, when
-/// given).
-pub fn record_table4_traces(
-    sim: &SimConfig,
-    scale: Scale,
-    dir: &Path,
-    jobs: usize,
-    depth: Option<u32>,
-) {
-    let max_txs = *table4_counts(scale).iter().max().expect("non-empty sweep");
-    let depth =
-        depth.unwrap_or_else(|| default_txs_per_core(max_txs, u64::from(sim.worker_threads)));
-    run_parallel(&TABLE4_CONFIGS, jobs, |&wcfg| {
-        record_trace(
-            dir,
-            &table4_label(wcfg),
-            table4_spec(wcfg, scale),
-            sim,
-            depth,
-        );
-    });
+/// The Table IV grid on `sim`: HOOP on every row at every transaction
+/// count of [`table4_counts`], count-major, measured from the first
+/// transaction (no warmup), each row traced under [`table4_label`].
+pub fn table4_plan(scale: Scale, sim: &SimConfig) -> ExperimentPlan {
+    let cells = table4_counts(scale)
+        .iter()
+        .flat_map(|&txs| {
+            TABLE4_CONFIGS.map(|wcfg| Cell {
+                engine: "HOOP",
+                workload: wcfg.label,
+                spec: table4_spec(wcfg, scale),
+                window: fixed_window(0, txs),
+                trace: table4_label(wcfg),
+                sim: *sim,
+            })
+        })
+        .collect();
+    ExperimentPlan::new("table4", cells)
 }
 
 /// Regenerates the full pack for `scale` into `dir`: the Fig. 7/8/9 matrix
@@ -93,13 +88,14 @@ pub fn record_pack(dir: &Path, scale: Scale, jobs: usize, depth: Option<u32>) {
         depth,
         ..RunnerOptions::live(scale, jobs)
     };
-    ExperimentPlan::matrix("pack", sim).record_traces(dir, &opts);
-    record_table4_traces(&sim, scale, dir, jobs, depth);
+    ExperimentPlan::matrix("pack", scale, &sim).record_traces(dir, &opts);
+    table4_plan(scale, &sim).record_traces(dir, &opts);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::trace_depth;
 
     #[test]
     fn table4_labels_do_not_collide_with_matrix_labels() {
@@ -107,6 +103,26 @@ mod tests {
             let label = table4_label(wcfg);
             assert!(MATRIX.iter().all(|m| m.label != label));
             assert_ne!(label, TPCC.label);
+        }
+    }
+
+    /// Every pack trace is recorded exactly as deep as before cells carried
+    /// their windows, on the default machine's 8 workers: a matrix row
+    /// `default_txs_per_core(warmup + measured)`, ×4 at full scale where
+    /// the `min_cycles` floor can extend the window; a Table IV row
+    /// `default_txs_per_core(largest count)`.
+    #[test]
+    fn pack_trace_depths_are_pinned() {
+        let sim = SimConfig::default();
+        for (plan, depth) in [
+            (ExperimentPlan::matrix("pack", Scale::Quick, &sim), 88), // 350 txs
+            (ExperimentPlan::matrix("pack", Scale::Full, &sim), 2400), // 2400 txs, ×4
+            (table4_plan(Scale::Quick, &sim), 250),                   // 1000 txs
+            (table4_plan(Scale::Full, &sim), 2500),                   // 10^4 txs
+        ] {
+            for cells in plan.traces() {
+                assert_eq!(trace_depth(&cells), depth, "{}", cells[0].trace);
+            }
         }
     }
 

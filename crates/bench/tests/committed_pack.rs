@@ -9,12 +9,13 @@
 
 use std::path::PathBuf;
 
-use hoop_bench::experiments::{spec_for, Scale, MATRIX, TPCC};
-use hoop_bench::runner::{derive_workload_seed, trace_path};
-use hoop_bench::tracepack::{table4_label, QUICK_PACK_DIR, TABLE4_CONFIGS};
+use hoop_bench::experiments::{Scale, MATRIX};
+use hoop_bench::runner::{
+    fixed_window, run_cell, trace_path, Cell, ExperimentPlan, RunMode, RunnerOptions,
+};
+use hoop_bench::tracepack::{table4_plan, QUICK_PACK_DIR};
 use simcore::config::SimConfig;
-use trace::{replay_cell, ReplayWindow, TraceReader};
-use workloads::driver::{build_system, Driver, ENGINES};
+use workloads::driver::ENGINES;
 
 fn pack_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -22,89 +23,47 @@ fn pack_dir() -> PathBuf {
         .join(QUICK_PACK_DIR)
 }
 
+/// Every trace label the quick grids record has a committed trace.
 #[test]
 fn committed_pack_is_complete() {
-    let dir = pack_dir();
-    for wcfg in MATRIX.into_iter().chain([TPCC]) {
-        let path = trace_path(&dir, wcfg.label);
-        assert!(
-            path.is_file(),
-            "missing {} — regenerate with `cargo run -p xtask -- trace`",
-            path.display()
-        );
-    }
-    for wcfg in TABLE4_CONFIGS {
-        let path = trace_path(&dir, &table4_label(wcfg));
-        assert!(
-            path.is_file(),
-            "missing {} — regenerate with `cargo run -p xtask -- trace`",
-            path.display()
-        );
+    let sim = SimConfig::default();
+    let plans = [
+        ExperimentPlan::matrix("pack", Scale::Quick, &sim),
+        table4_plan(Scale::Quick, &sim),
+    ];
+    for plan in &plans {
+        for cells in plan.traces() {
+            let path = trace_path(&pack_dir(), &cells[0].trace);
+            assert!(
+                path.is_file(),
+                "missing {} — regenerate with `cargo run -p xtask -- trace`",
+                path.display()
+            );
+        }
     }
 }
 
-/// Replaying the committed trace must yield the same per-engine stats
-/// digest as live generation, for every engine of the row. Uses a short
-/// window (the committed streams are deeper) so the cross-engine sweep
-/// stays fast in debug builds.
+/// Replaying the committed trace must yield the same cell document as live
+/// generation, for every engine of the row (a stale trace fails its
+/// identity check). Uses a short window (the committed streams are deeper)
+/// so the cross-engine sweep stays fast in debug builds.
 #[test]
 fn committed_trace_replays_identically_on_every_engine() {
-    let wcfg = MATRIX[0]; // vector-64B: the smallest committed trace
-    let dir = pack_dir();
-    let tf = TraceReader::read(&trace_path(&dir, wcfg.label))
-        .expect("committed trace reads (regenerate with `cargo run -p xtask -- trace`)");
-
-    let mut spec = spec_for(wcfg, Scale::Quick);
-    spec.seed = derive_workload_seed(wcfg.label);
-    assert_eq!(
-        tf.header.spec, spec,
-        "committed trace is stale — regenerate with `cargo run -p xtask -- trace`"
-    );
-
-    let sim = SimConfig::default();
-    let (warmup, measured) = (10, 60);
+    let live = RunnerOptions::live(Scale::Quick, 1);
+    let replay = RunnerOptions {
+        mode: RunMode::Replay(pack_dir()),
+        ..live.clone()
+    };
     for engine in ENGINES {
-        let mut sys = build_system(engine, &sim);
-        let mut driver = Driver::new(spec, &sim);
-        driver.setup(&mut sys);
-        let live = driver.run_until(&mut sys, warmup, measured, 0);
-
-        let (replayed, _) = replay_cell(
-            &tf,
-            engine,
-            &sim,
-            ReplayWindow {
-                warmup,
-                measured,
-                min_cycles: 0,
-            },
-            false,
-        );
-
-        assert_eq!(live.txs, replayed.txs, "{engine}: txs");
-        assert_eq!(live.cycles, replayed.cycles, "{engine}: cycles");
+        // vector-64B: the smallest committed trace.
+        let cell = Cell {
+            window: fixed_window(10, 60),
+            ..Cell::grid(engine, MATRIX[0], Scale::Quick, &SimConfig::default())
+        };
         assert_eq!(
-            live.avg_tx_latency, replayed.avg_tx_latency,
-            "{engine}: latency"
-        );
-        assert_eq!(
-            live.write_bytes_per_tx, replayed.write_bytes_per_tx,
-            "{engine}: write bytes"
-        );
-        assert_eq!(
-            live.engine_stats.committed_txs.get(),
-            replayed.engine_stats.committed_txs.get(),
-            "{engine}: committed"
-        );
-        assert_eq!(
-            live.engine_stats.gc_bytes_in.get(),
-            replayed.engine_stats.gc_bytes_in.get(),
-            "{engine}: gc bytes"
-        );
-        assert_eq!(
-            live.hier_stats.accesses.get(),
-            replayed.hier_stats.accesses.get(),
-            "{engine}: hierarchy accesses"
+            run_cell(&cell, &live).to_json().pretty(),
+            run_cell(&cell, &replay).to_json().pretty(),
+            "{engine}"
         );
     }
 }

@@ -6,22 +6,22 @@
 //! one small cell per engine.
 
 use hoop_bench::experiments::{Scale, MATRIX};
-use hoop_bench::runner::{run_cell, RunnerOptions};
+use hoop_bench::runner::{run_cell, Cell, RunnerOptions};
 use simcore::config::SimConfig;
 use workloads::driver::ENGINES;
 
 #[test]
 fn cell_results_are_shard_invariant() {
     let wcfg = MATRIX[0]; // vector-64B: the fastest matrix column
-    let opts = RunnerOptions::live(Scale::Quick, 1);
     for engine in ENGINES {
+        let cell = Cell::grid(engine, wcfg, Scale::Quick, &SimConfig::default());
         let mut docs = Vec::new();
         for shards in [1u8, 2, 4] {
-            let sim = SimConfig {
+            let opts = RunnerOptions {
                 shards,
-                ..Default::default()
+                ..RunnerOptions::live(Scale::Quick, 1)
             };
-            docs.push(run_cell(engine, wcfg, &sim, &opts).to_json().pretty());
+            docs.push(run_cell(&cell, &opts).to_json().pretty());
         }
         assert_eq!(
             docs[0], docs[1],

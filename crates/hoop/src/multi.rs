@@ -451,8 +451,14 @@ impl MultiHoopEngine {
 }
 
 impl PersistenceEngine for MultiHoopEngine {
+    /// The `build_system` name of this controller count; counts that
+    /// registry does not offer share the family name.
     fn name(&self) -> &'static str {
-        "HOOP-MC"
+        match self.ctrls.len() {
+            2 => "HOOP-MC2",
+            4 => "HOOP-MC4",
+            _ => "HOOP-MC",
+        }
     }
 
     fn properties(&self) -> EngineProperties {

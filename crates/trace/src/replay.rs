@@ -2,11 +2,11 @@
 //!
 //! Replay rebuilds the live run exactly. The setup section is applied in
 //! recorded order (live setup is single-threaded, so order *is* the
-//! schedule). The measured window then mirrors `Driver::run_until`
-//! operation for operation: warmup transactions, a drain + counter reset,
-//! the measured loop with its `min_cycles` extension and 64× cap, and a
-//! final drain — except that each "transaction" is pulled from the recorded
-//! per-core streams instead of being generated. The scheduler itself is
+//! schedule). The measured window then runs through the live driver's own
+//! loop (`workloads::driver::run_window`: warmup transactions, a drain +
+//! counter reset, the measured loop with its `min_cycles` extension and 64×
+//! cap, and a final drain) — except that each "transaction" is pulled from
+//! the recorded per-core streams instead of being generated. The scheduler itself is
 //! re-run live: whichever core `System::next_core` picks consumes its own
 //! next recorded transaction, so each engine's timing produces its own
 //! interleaving, exactly as in a live run. Since simulated time is
@@ -16,7 +16,7 @@ use engines::system::System;
 use pmcheck::{PersistencySanitizer, SanitizerSummary};
 use simcore::config::SimConfig;
 use simcore::{CoreId, Cycle, PAddr, TxId};
-use workloads::driver::{build_system, report_from, RunReport};
+use workloads::driver::{build_system, report_from, run_window, RunReport};
 
 use crate::format::{Event, TraceFile};
 
@@ -162,25 +162,14 @@ pub fn replay_cell(
         cur.apply(&mut sys, ev);
     }
 
-    // The measured window, mirroring Driver::run_until exactly.
-    for _ in 0..window.warmup {
-        let core = sys.next_core();
-        cur.replay_tx(&mut sys, core);
-    }
-    sys.drain();
-    sys.reset_counters();
-    let t0 = sys.global_time();
-    let mut issued = 0u64;
-    while issued < window.measured
-        || (sys.global_time() - t0 < window.min_cycles
-            && issued < window.measured.saturating_mul(64))
-    {
-        let core = sys.next_core();
-        cur.replay_tx(&mut sys, core);
-        issued += 1;
-    }
-    sys.drain();
-    let cycles = sys.global_time() - t0;
+    // The measured window: the live driver's own loop.
+    let cycles = run_window(
+        &mut sys,
+        window.warmup,
+        window.measured,
+        window.min_cycles,
+        |sys, core| cur.replay_tx(sys, core),
+    );
     let report = report_from(&sys, trace.header.spec.kind.to_string(), cycles, 0);
     let summary = san.map(|s| s.lock().expect("sanitizer poisoned").summary());
     (report, summary)
@@ -202,7 +191,7 @@ mod tests {
     /// The core property: replay must be byte-identical to live. Run a
     /// small live cell and a replayed one for every engine (the
     /// multi-controller HOOP variants included) and compare the full reports
-    /// (throughput, latency, traffic, raw counters).
+    /// (throughput, latency, traffic, raw counters, extra metrics).
     #[test]
     fn replay_matches_live_for_every_engine() {
         let cfg = SimConfig::small_for_tests();
@@ -241,38 +230,11 @@ mod tests {
                     false,
                 );
 
-                assert_eq!(live.txs, replayed.txs, "{engine}/{kind}: txs");
-                assert_eq!(live.cycles, replayed.cycles, "{engine}/{kind}: cycles");
+                // Every metric and raw counter, the workload name included.
                 assert_eq!(
-                    live.avg_tx_latency, replayed.avg_tx_latency,
-                    "{engine}/{kind}: latency"
-                );
-                assert_eq!(
-                    live.write_bytes_per_tx, replayed.write_bytes_per_tx,
-                    "{engine}/{kind}: write bytes"
-                );
-                assert_eq!(
-                    live.read_bytes_per_tx, replayed.read_bytes_per_tx,
-                    "{engine}/{kind}: read bytes"
-                );
-                assert_eq!(
-                    live.energy_pj_per_tx, replayed.energy_pj_per_tx,
-                    "{engine}/{kind}: energy"
-                );
-                assert_eq!(
-                    live.hier_stats.accesses.get(),
-                    replayed.hier_stats.accesses.get(),
-                    "{engine}/{kind}: hierarchy accesses"
-                );
-                assert_eq!(
-                    live.engine_stats.committed_txs.get(),
-                    replayed.engine_stats.committed_txs.get(),
-                    "{engine}/{kind}: committed"
-                );
-                assert_eq!(
-                    live.engine_stats.gc_bytes_in.get(),
-                    replayed.engine_stats.gc_bytes_in.get(),
-                    "{engine}/{kind}: gc bytes"
+                    format!("{live:?}"),
+                    format!("{replayed:?}"),
+                    "{engine}/{kind}"
                 );
             }
         }
@@ -311,8 +273,7 @@ mod tests {
             },
             false,
         );
-        assert_eq!(live.txs, replayed.txs);
-        assert_eq!(live.cycles, replayed.cycles);
+        assert_eq!(format!("{live:?}"), format!("{replayed:?}"));
     }
 
     #[test]

@@ -131,17 +131,48 @@ pub fn report_from(
     }
 }
 
+/// The measurement window of every run, live or replayed: `warmup`
+/// transactions, a drain and counter reset (the window starts from a steady
+/// durable state), then `measured` transactions — extended, up to 64×,
+/// until `min_cycles` of simulated time elapse — and a final drain.
+/// `next_tx(sys, core)` runs the next transaction of the core
+/// [`System::next_core`] picks. Returns the window's simulated cycles.
+pub fn run_window(
+    sys: &mut System,
+    warmup: u64,
+    measured: u64,
+    min_cycles: Cycle,
+    mut next_tx: impl FnMut(&mut System, CoreId),
+) -> Cycle {
+    for _ in 0..warmup {
+        let core = sys.next_core();
+        next_tx(sys, core);
+    }
+    sys.drain();
+    sys.reset_counters();
+    let t0 = sys.global_time();
+    let mut issued = 0u64;
+    while issued < measured
+        || (sys.global_time() - t0 < min_cycles && issued < measured.saturating_mul(64))
+    {
+        let core = sys.next_core();
+        next_tx(sys, core);
+        issued += 1;
+    }
+    sys.drain();
+    sys.global_time() - t0
+}
+
 /// Drives per-core workload instances over a `System`.
 pub struct Driver {
     workloads: Vec<Box<dyn TxWorkload>>,
-    workers: usize,
     issued: Vec<u64>,
 }
 
 impl std::fmt::Debug for Driver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Driver")
-            .field("workers", &self.workers)
+            .field("workers", &self.workloads.len())
             .finish()
     }
 }
@@ -154,7 +185,6 @@ impl Driver {
             workloads: (0..workers)
                 .map(|w| build_workload(spec, w as u64))
                 .collect(),
-            workers,
             issued: vec![0; workers],
         }
     }
@@ -183,28 +213,9 @@ impl Driver {
         measured: u64,
         min_cycles: Cycle,
     ) -> RunReport {
-        for _ in 0..warmup {
-            let core = sys.next_core();
-            self.issued[core.index()] += 1;
-            self.workloads[core.index()].run_tx(sys, core);
-        }
-        // Settle warmup state (flush caches, run GC/checkpoints) so the
-        // measured window starts from a steady durable state and background
-        // traffic attribution is not skewed by warmup leftovers.
-        sys.drain();
-        sys.reset_counters();
-        let t0 = sys.global_time();
-        let mut issued = 0u64;
-        while issued < measured
-            || (sys.global_time() - t0 < min_cycles && issued < measured.saturating_mul(64))
-        {
-            let core = sys.next_core();
-            self.issued[core.index()] += 1;
-            self.workloads[core.index()].run_tx(sys, core);
-            issued += 1;
-        }
-        sys.drain();
-        let cycles = sys.global_time() - t0;
+        let cycles = run_window(sys, warmup, measured, min_cycles, |sys, core| {
+            self.run_one(sys, core)
+        });
         let verify_errors = self.verify(sys);
         report_from(
             sys,
@@ -230,11 +241,6 @@ impl Driver {
     /// Verifies every worker's structure; returns total mismatches.
     pub fn verify(&self, sys: &System) -> usize {
         self.workloads.iter().map(|w| w.verify(sys)).sum()
-    }
-
-    /// Number of worker instances.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 }
 
@@ -288,7 +294,7 @@ mod tests {
     #[test]
     fn every_engine_builds() {
         let cfg = SimConfig::small_for_tests();
-        for name in ENGINES {
+        for name in engine_names() {
             let sys = build_system(name, &cfg);
             assert_eq!(sys.engine().name(), name);
         }

@@ -64,7 +64,7 @@ fn all_engines_run_clean_under_the_sanitizer() {
 #[test]
 fn multi_controller_hoop_runs_clean_under_the_sanitizer() {
     let s = sanitized_run("HOOP-MC2");
-    assert_eq!(s.engine, "HOOP-MC");
+    assert_eq!(s.engine, "HOOP-MC2");
     assert!(s.is_clean(), "HOOP-MC2: {:?}", s.samples);
 }
 
